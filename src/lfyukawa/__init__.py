@@ -13,12 +13,9 @@ from .fock import (
     ModeConfig,
     QubitLayout,
     charge_tables,
-    decode,
-    encode,
     enumerate_sector,
     k_of,
     q_of,
-    qubit_count,
 )
 from .pauli import (
     PauliString,
@@ -76,12 +73,9 @@ __all__ = [
     "ModeConfig",
     "QubitLayout",
     "charge_tables",
-    "decode",
-    "encode",
     "enumerate_sector",
     "k_of",
     "q_of",
-    "qubit_count",
     "PauliString",
     "PauliSum",
     "adjoint",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .fock import QubitLayout, enumerate_sector
 from .hamiltonian import build_h
@@ -44,13 +45,8 @@ def _cmd_dump(args) -> int:
     layout = QubitLayout(cfg.mode_config)
     h = build_h(cfg.mode_config, cfg.params, layout, cfg.parts, cfg.cross_species_string)
     header = {
-        "fermion_mass": cfg.params.fermion_mass,
-        "boson_mass": cfg.params.boson_mass,
-        "coupling": cfg.params.coupling,
+        **asdict(cfg.params),
         "g": cfg.params.g,
-        "inertia_cutoff": cfg.params.inertia_cutoff,
-        "box_length": cfg.params.box_length,
-        "include_inertias": cfg.params.include_inertias,
         "parts": list(cfg.parts),
         "qubits": layout.total_qubits,
         "terms": len(h),

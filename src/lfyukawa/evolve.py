@@ -17,6 +17,7 @@ import numpy as np
 
 from .fock import QubitLayout, enumerate_sector
 from .pauli import (
+    COMPARE_TOL,
     MATRIX_QUBIT_CAP,
     PauliString,
     PauliSum,
@@ -30,6 +31,7 @@ from .pauli import (
 
 __all__ = [
     "SECTOR_DIM_CAP",
+    "NORM_TOL",
     "TrotterPlan",
     "PlanCost",
     "exp_pauli",
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 SECTOR_DIM_CAP = 4096
+NORM_TOL = 1e-9  # largest norm drift a Trotter evolution may show
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
@@ -164,7 +167,7 @@ def make_plan(h: PauliSum, t: float, n_steps: int, order: int = 1) -> TrotterPla
         raise ValueError("n_steps must be positive")
     if order not in (1, 2):
         raise ValueError("only orders 1 and 2 are supported")
-    if not h.is_hermitian(1e-10):
+    if not h.is_hermitian(COMPARE_TOL):
         raise ValueError("Hamiltonian must be Hermitian (real canonical coefficients)")
     n = h.n_qubits
     dt = t / n_steps
@@ -374,7 +377,7 @@ def trotter_evolve(
     else:
         raise ValueError(f"unknown method {method!r}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > NORM_TOL:
         raise RuntimeError(f"norm drifted to {norm!r} during Trotter evolution")
     return psi
 

@@ -19,9 +19,6 @@ __all__ = [
     "ModeConfig",
     "FockState",
     "QubitLayout",
-    "qubit_count",
-    "encode",
-    "decode",
     "k_of",
     "q_of",
     "enumerate_sector",
@@ -217,19 +214,6 @@ class QubitLayout:
         psi = np.zeros(1 << self.total_qubits, dtype=complex)
         psi[index] = 1.0
         return psi
-
-
-def qubit_count(config: ModeConfig) -> int:
-    """Register size: one qubit per fermionic mode plus log2(m+1) per boson mode."""
-    return QubitLayout(config).total_qubits
-
-
-def encode(state: FockState, layout: QubitLayout) -> int:
-    return layout.encode(state)
-
-
-def decode(index: int, layout: QubitLayout) -> FockState:
-    return layout.decode(index)
 
 
 def _occupation_patterns(n_modes: int, k_budget: int):

@@ -19,6 +19,7 @@ from .fock import QubitLayout
 
 __all__ = [
     "DEFAULT_TOL",
+    "COMPARE_TOL",
     "MATRIX_QUBIT_CAP",
     "PauliString",
     "PauliSum",
@@ -39,7 +40,8 @@ __all__ = [
     "loads",
 ]
 
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-12  # coefficients at or below this are dropped
+COMPARE_TOL = 1e-10  # coefficient agreement in equality and Hermiticity checks
 MATRIX_QUBIT_CAP = 14
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k
@@ -139,7 +141,7 @@ class PauliSum:
     def prune(self, tol: float = DEFAULT_TOL) -> "PauliSum":
         return PauliSum(self.n_qubits, {k: c for k, c in self._terms.items() if abs(c) > tol})
 
-    def equals(self, other: "PauliSum", tol: float = 1e-10) -> bool:
+    def equals(self, other: "PauliSum", tol: float = COMPARE_TOL) -> bool:
         if self.n_qubits != other.n_qubits:
             return False
         keys = set(self._terms) | set(other._terms)
@@ -148,7 +150,7 @@ class PauliSum:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self, tol: float = COMPARE_TOL) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
     # -- arithmetic -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Experiment presets and the configuration document parser.
+"""Experiment presets, the configuration document parser and the grid runner.
 
 Each preset reproduces one of the reference experiments: the exact two-level
 oscillation, the Trotter-step study, the coupling sweep over four initial
@@ -6,6 +6,10 @@ states, the mode-cutoff study, the two-proton collision and the minimal
 two-mode run.  A configuration document is JSON; any field given overrides the
 preset default and the fully resolved configuration is echoed in the run
 manifest so every run can be reproduced without the preset table.
+
+Every preset runs on the same grid of mode cutoff x coupling x Trotter step
+count x initial state; a preset only fixes which axes it sweeps and a few
+output details (extra columns, transition targets, probability maps).
 """
 
 from __future__ import annotations
@@ -14,16 +18,17 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import EvolutionRecord, leakage, records_to_csv, survival, transition_prob
-from .evolve import exact_evolve, make_plan, sample_counts, trotter_evolve
+from .evolve import NORM_TOL, exact_evolve, make_plan, sample_counts, trotter_evolve
 from .fock import FockState, ModeConfig, QubitLayout, enumerate_sector, k_of, q_of
 from .hamiltonian import PARTS, ModelParams, build_h
-from .pauli import dumps
+from .pauli import COMPARE_TOL, DEFAULT_TOL, dumps
 
 __all__ = [
     "ConfigError",
@@ -48,6 +53,12 @@ class PhysicsError(ConfigError):
     """Well-formed document describing unphysical parameters."""
 
 
+# Preset fields that are not configuration keys: CSV columns after the standard
+# ones, the probability that ``shots`` estimates (default survival), the
+# particle counts of the transition targets (see _Start) and whether each
+# record's full probability map is written.
+_PRESET_ONLY = {"description", "extra_columns", "sampled", "target_content", "probabilities"}
+
 PRESETS: dict[str, dict] = {
     "rabi": {
         "description": "exact two-level oscillation of a mode-2 fermion (3 modes, lambda=4)",
@@ -63,6 +74,7 @@ PRESETS: dict[str, dict] = {
         "initial_state": "f2",
         "evolution": {"mode": "trotter", "t_max": 1.0, "dt": 0.05, "order": 1},
         "trotter_steps": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+        "extra_columns": ("transition_exact",),
     },
     "coupling-sweep": {
         "description": "survival of four initial states vs coupling at t=0.2, 10 steps",
@@ -85,6 +97,7 @@ PRESETS: dict[str, dict] = {
         "coupling": 13.315,
         "initial_state": "f4f5",
         "evolution": {"mode": "trotter", "t_max": 0.4, "dt": 0.005, "order": 1},
+        "target_content": (2, 0, 2),
     },
     "hardware-minimal": {
         "description": "two modes, one modal, H_M+H_V only, a single Trotter step",
@@ -95,10 +108,25 @@ PRESETS: dict[str, dict] = {
         "initial_state": "f2",
         "evolution": {"mode": "trotter", "t_max": 0.2, "n_steps": 1, "order": 1},
         "shots": 8192,
+        "extra_columns": ("transition_exact",),
+        "sampled": "transition",
+        "probabilities": True,
     },
 }
 
-_TOLERANCES = {"coeff_drop": 1e-12, "canonical_compare": 1e-10, "norm": 1e-9}
+_TOLERANCES = {"coeff_drop": DEFAULT_TOL, "canonical_compare": COMPARE_TOL, "norm": NORM_TOL}
+
+# Upper bound on any mode count, so that no document allocates per-mode
+# tables it could never simulate.
+MAX_MODES = 64
+
+# Sweep axes in column order: (configuration key, CSV column).
+_AXES = (
+    ("n_values", "n_max"),
+    ("lambdas", "lambda"),
+    ("trotter_steps", "n_trotter"),
+    ("initial_states", "state"),
+)
 
 
 @dataclass
@@ -127,17 +155,10 @@ class ScenarioConfig:
     def echo(self) -> dict:
         out = {
             "scenario": self.scenario,
-            "n_fermion_modes": self.mode_config.n_fermion_modes,
-            "n_antifermion_modes": self.mode_config.n_antifermion_modes,
-            "n_boson_modes": self.mode_config.n_boson_modes,
+            **asdict(self.mode_config),
             "boson_modals": list(self.mode_config.boson_modals),
-            "fermion_mass": self.params.fermion_mass,
-            "boson_mass": self.params.boson_mass,
-            "coupling": self.params.coupling,
+            **asdict(self.params),
             "g": self.params.g,
-            "inertia_cutoff": self.params.inertia_cutoff,
-            "box_length": self.params.box_length,
-            "include_inertias": self.params.include_inertias,
             "parts": list(self.parts),
             "initial_state": self.initial_state,
             "evolution": {
@@ -153,11 +174,18 @@ class ScenarioConfig:
             "cross_species_string": self.cross_species_string,
             "tolerances": dict(_TOLERANCES),
         }
-        for key in ("lambdas", "trotter_steps", "n_values", "initial_states"):
+        for key, _ in _AXES:
             value = getattr(self, key)
             if value is not None:
                 out[key] = list(value)
         return out
+
+    def registers(self) -> list[tuple[int | None, ModeConfig]]:
+        """The mode-cutoff axis: (n_max, mode config) per register, n_max None if not swept."""
+        if self.n_values is None:
+            return [(None, self.mode_config)]
+        modals = self.mode_config.boson_modals[0]
+        return [(n, ModeConfig.uniform(n, modals)) for n in self.n_values]
 
 
 _KNOWN_KEYS = {
@@ -194,18 +222,66 @@ def _require(cond: bool, path: str, message: str):
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check(test, message: str):
+    """Validator returning its value unchanged, or raising SchemaError at the value's path."""
+
+    def check(value, path: str):
+        _require(test(value), path, message)
+        return value
+
+    return check
+
+
+_boolean = _check(lambda v: isinstance(v, bool), "must be a boolean")
+_string = _check(lambda v: isinstance(v, str), "must be a string")
+_integer = _check(_is_int, "must be an integer")
+_natural = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+_count = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_modes = _check(
+    lambda v: _is_int(v) and 1 <= v <= MAX_MODES, f"must be an integer from 1 to {MAX_MODES}"
+)
+_parts = _check(
+    lambda v: isinstance(v, list) and all(p in PARTS for p in v),
+    f"must be a list of Hamiltonian parts out of {', '.join(PARTS)}",
+)
+
+
+def _number(value, path: str, positive: bool = False) -> float:
+    """A finite JSON number as a float."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(is_number, path, "must be a number")
+    _require(abs(value) <= sys.float_info.max, path, "must be a finite number")
+    value = float(value)
+    _require(value > 0 or not positive, path, "must be a positive number")
+    return value
+
+
+def _axis(merged: dict, key: str, check) -> tuple | None:
+    value = merged.get(key)
+    if value is None:
+        return None
+    _require(isinstance(value, list) and value, key, "must be a non-empty list")
+    for i, entry in enumerate(value):
+        check(entry, f"{key}[{i}]")
+    return tuple(value)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Validate a JSON configuration document and apply preset defaults."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise SchemaError(f"document is not valid JSON: {err}") from None
     _require(isinstance(doc, dict), "$", "top level must be a JSON object")
     scenario = doc.get("scenario")
     _require(isinstance(scenario, str), "scenario", "a scenario name is required")
     if scenario not in PRESETS:
         raise SchemaError(f"scenario: unknown scenario {scenario!r}, see list-scenarios")
-    merged: dict = {k: v for k, v in PRESETS[scenario].items() if k != "description"}
+    merged: dict = {k: v for k, v in PRESETS[scenario].items() if k not in _PRESET_ONLY}
     for key, value in doc.items():
         if key == "evolution":
             evo = dict(merged.get("evolution", {}))
@@ -218,212 +294,144 @@ def parse_config(text: str) -> ScenarioConfig:
             _require(key in _KNOWN_KEYS, key, "unknown field")
             merged[key] = value
 
+    def field(key, default, check):
+        return check(merged.get(key, default), key)
+
     n_modes = merged.get("n_modes", 3)
-    nf = merged.get("n_fermion_modes", n_modes)
-    na = merged.get("n_antifermion_modes", n_modes)
-    nb = merged.get("n_boson_modes", n_modes)
-    modals = merged.get("modals", 3)
-    for path, value in (("n_fermion_modes", nf), ("n_antifermion_modes", na), ("n_boson_modes", nb)):
-        _require(isinstance(value, int) and value >= 1, path, "must be a positive integer")
-    _require(isinstance(modals, int) and modals >= 1, "modals", "must be a positive integer")
+    nf, na, nb = (
+        field(key, n_modes, _modes)
+        for key in ("n_fermion_modes", "n_antifermion_modes", "n_boson_modes")
+    )
+    modals = field("modals", 3, _count)
     if modals & (modals + 1):
         raise PhysicsError(f"modals: cap {modals} is not of the form 2**t - 1")
-    try:
-        mode_config = ModeConfig(nf, na, nb, (modals,) * nb)
-    except ValueError as err:
-        raise PhysicsError(str(err)) from None
+    mode_config = ModeConfig(nf, na, nb, (modals,) * nb)
+    n_values = _axis(merged, "n_values", _modes)
 
-    fermion_mass = merged.get("fermion_mass", 6.7)
-    boson_mass = merged.get("boson_mass", 1.0)
-    coupling = merged.get("coupling", 1.0)
-    inertia_cutoff = merged.get("inertia_cutoff", 2048)
-    box_length = merged.get("box_length", 2.0 * math.pi)
-    include_inertias = merged.get("include_inertias", False)
-    for path, value in (
-        ("fermion_mass", fermion_mass),
-        ("boson_mass", boson_mass),
-        ("coupling", coupling),
-        ("box_length", box_length),
-    ):
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
-    _require(isinstance(inertia_cutoff, int), "inertia_cutoff", "must be an integer")
-    _require(isinstance(include_inertias, bool), "include_inertias", "must be a boolean")
-    if fermion_mass <= 0 or boson_mass <= 0:
-        raise PhysicsError("masses must be positive (massive-field regularization)")
-    largest_n = max(nf, na, nb, *(merged.get("n_values") or [1]))
-    if inertia_cutoff < largest_n:
-        raise PhysicsError(
-            f"inertia_cutoff: {inertia_cutoff} is below the largest mode number {largest_n}"
-        )
     params = ModelParams(
-        fermion_mass=float(fermion_mass),
-        boson_mass=float(boson_mass),
-        coupling=float(coupling),
-        inertia_cutoff=inertia_cutoff,
-        box_length=float(box_length),
-        include_inertias=include_inertias,
+        fermion_mass=field("fermion_mass", 6.7, _number),
+        boson_mass=field("boson_mass", 1.0, _number),
+        coupling=field("coupling", 1.0, _number),
+        inertia_cutoff=field("inertia_cutoff", 2048, _integer),
+        box_length=field("box_length", 2.0 * math.pi, _number),
+        include_inertias=field("include_inertias", False, _boolean),
     )
-
-    parts = tuple(merged.get("parts", list(PARTS)))
-    for p in parts:
-        _require(p in PARTS, "parts", f"unknown Hamiltonian part {p!r}")
+    if params.fermion_mass <= 0 or params.boson_mass <= 0:
+        raise PhysicsError("masses must be positive (massive-field regularization)")
+    if params.box_length <= 0:
+        raise PhysicsError("box_length must be positive")
+    largest_n = max(nf, na, nb, *(n_values or ()))
+    if params.inertia_cutoff < largest_n:
+        raise PhysicsError(
+            f"inertia_cutoff: {params.inertia_cutoff} is below the largest mode number {largest_n}"
+        )
 
     evo = merged.get("evolution", {})
     mode = evo.get("mode", "exact")
     _require(mode in ("exact", "trotter"), "evolution.mode", "must be 'exact' or 'trotter'")
-    t_max = evo.get("t_max", 0.2)
-    _require(
-        isinstance(t_max, (int, float)) and t_max > 0, "evolution.t_max", "must be a positive number"
-    )
-    dt = evo.get("dt")
-    n_steps = evo.get("n_steps")
+    t_max = _number(evo.get("t_max", 0.2), "evolution.t_max", positive=True)
     order = evo.get("order", 1)
-    _require(order in (1, 2), "evolution.order", "must be 1 or 2")
-    if dt is not None:
-        _require(isinstance(dt, (int, float)) and dt > 0, "evolution.dt", "must be a positive number")
-    if n_steps is not None:
-        _require(
-            isinstance(n_steps, int) and n_steps >= 1,
-            "evolution.n_steps",
-            "must be a positive integer",
-        )
+    _require(_is_int(order) and order in (1, 2), "evolution.order", "must be 1 or 2")
+    dt = evo.get("dt")
+    dt = None if dt is None else _number(dt, "evolution.dt", positive=True)
+    n_steps = evo.get("n_steps")
+    n_steps = None if n_steps is None else _count(n_steps, "evolution.n_steps")
     if dt is None and n_steps is None:
         _require(mode == "exact", "evolution", "trotter evolution needs dt or n_steps")
         dt = 0.02  # reference resolution
     if dt is not None and n_steps is not None:
+        product = dt * _number(n_steps, "evolution.n_steps")
         _require(
-            abs(dt * n_steps - t_max) <= 1e-9,
+            abs(product - t_max) <= 1e-9,
             "evolution",
-            f"dt*n_steps = {dt * n_steps!r} inconsistent with t_max = {t_max!r}",
+            f"dt*n_steps = {product!r} inconsistent with t_max = {t_max!r}",
         )
     if mode == "trotter" and n_steps is None:
         ratio = t_max / dt
         _require(
-            abs(ratio - round(ratio)) <= 1e-9, "evolution", "t_max must be a multiple of dt"
+            math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9,
+            "evolution",
+            "t_max must be a positive multiple of dt",
         )
         n_steps = int(round(ratio))
-
-    shots = merged.get("shots", 0)
-    _require(isinstance(shots, int) and shots >= 0, "shots", "must be a non-negative integer")
-    seed = merged.get("seed", 1234)
-    _require(isinstance(seed, int), "seed", "must be an integer")
-    output_dir = merged.get("output_dir", os.path.join("runs", scenario))
-    _require(isinstance(output_dir, str), "output_dir", "must be a string")
-    cross = merged.get("cross_species_string", True)
-    _require(isinstance(cross, bool), "cross_species_string", "must be a boolean")
-
-    def _tuple_or_none(key, kind, label):
-        value = merged.get(key)
-        if value is None:
-            return None
-        _require(isinstance(value, list) and value, key, f"must be a non-empty list of {label}")
-        for v in value:
-            _require(isinstance(v, kind) and not isinstance(v, bool), key, f"entries must be {label}")
-        return tuple(value)
-
-    lambdas = _tuple_or_none("lambdas", (int, float), "numbers")
-    trotter_steps = _tuple_or_none("trotter_steps", int, "integers")
-    n_values = _tuple_or_none("n_values", int, "integers")
-    raw_states = merged.get("initial_states")
-    initial_states = tuple(raw_states) if raw_states is not None else None
+    trotter_steps = _axis(merged, "trotter_steps", _count)
+    _require(trotter_steps is None or mode == "trotter", "trotter_steps", "needs trotter evolution")
 
     cfg = ScenarioConfig(
         scenario=scenario,
         mode_config=mode_config,
         params=params,
-        parts=parts,
-        initial_state=merged.get("initial_state", "f2"),
+        parts=tuple(field("parts", list(PARTS), _parts)),
+        initial_state=field("initial_state", "f2", _string),
         mode=mode,
-        t_max=float(t_max),
-        dt=None if dt is None else float(dt),
+        t_max=t_max,
+        dt=dt,
         n_steps=n_steps,
         order=order,
-        shots=shots,
-        seed=seed,
-        output_dir=output_dir,
-        lambdas=lambdas,
+        shots=field("shots", 0, _natural),
+        seed=field("seed", 1234, _integer),
+        output_dir=field("output_dir", os.path.join("runs", scenario), _string),
+        lambdas=_axis(merged, "lambdas", _number),
         trotter_steps=trotter_steps,
         n_values=n_values,
-        initial_states=initial_states,
-        cross_species_string=cross,
+        initial_states=_axis(merged, "initial_states", _string),
+        cross_species_string=field("cross_species_string", True, _boolean),
     )
-    # fail early on unresolvable initial states
-    _resolve_state(cfg.initial_state, mode_config)
-    if initial_states:
-        for label in initial_states:
-            _resolve_state(label, mode_config)
+    # fail early on initial states that some register of the run cannot hold
+    for _, config in cfg.registers():
+        for label in cfg.initial_states or (cfg.initial_state,):
+            _resolve_state(label, config)
     return cfg
+
+
+# Named initial states: the occupied (fermion, antifermion, boson) modes, one quantum each.
+_NAMED_STATES = {
+    "f2": ((2,), (), ()),
+    "fbar2": ((), (2,), ()),
+    "phi2": ((), (), (2,)),
+    "f4f5": ((4, 5), (), ()),
+    "f2-fbar2-phi2": ((2,), (2,), (2,)),
+}
 
 
 def _resolve_state(label: str, config: ModeConfig) -> FockState:
     """Named initial states, or an explicit grouped bitstring."""
-    layout = QubitLayout(config)
-    zeros_f = [0] * config.n_fermion_modes
-    zeros_a = [0] * config.n_antifermion_modes
-    zeros_b = [0] * config.n_boson_modes
-
-    def single(species, mode):
-        f, a, b = list(zeros_f), list(zeros_a), list(zeros_b)
-        target = {"f": f, "a": a, "b": b}[species]
-        if mode > len(target):
-            raise SchemaError(f"initial_state: mode {mode} outside the configured cutoff")
-        target[mode - 1] = 1
-        return FockState(tuple(f), tuple(a), tuple(b))
-
     if set(label) <= {"0", "1", " "}:
+        layout = QubitLayout(config)
         try:
             return layout.decode(layout.parse_bits(label))
         except ValueError as err:
             raise SchemaError(f"initial_state: {err}") from None
-    named = {
-        "f2": lambda: single("f", 2),
-        "fbar2": lambda: single("a", 2),
-        "phi2": lambda: single("b", 2),
-        "f4f5": lambda: FockState(
-            tuple(1 if n in (4, 5) else 0 for n in range(1, config.n_fermion_modes + 1)),
-            tuple(zeros_a),
-            tuple(zeros_b),
-        ),
-        "f2-fbar2-phi2": lambda: FockState(
-            tuple(1 if n == 2 else 0 for n in range(1, config.n_fermion_modes + 1)),
-            tuple(1 if n == 2 else 0 for n in range(1, config.n_antifermion_modes + 1)),
-            tuple(1 if n == 2 else 0 for n in range(1, config.n_boson_modes + 1)),
-        ),
-    }
-    if label not in named:
+    if label not in _NAMED_STATES:
         raise SchemaError(f"initial_state: unknown state label {label!r}")
-    state = named[label]()
-    if label == "f4f5" and config.n_fermion_modes < 5:
-        raise SchemaError("initial_state: f4f5 needs at least five fermion modes")
-    return state
+    sizes = (config.n_fermion_modes, config.n_antifermion_modes, config.n_boson_modes)
+    occupied = _NAMED_STATES[label]
+    for modes, n in zip(occupied, sizes):
+        if modes and max(modes) > n:
+            raise SchemaError(f"initial_state: {label} needs mode {max(modes)}, outside the cutoff")
+    return FockState(*(
+        tuple(int(m in modes) for m in range(1, n + 1)) for modes, n in zip(occupied, sizes)
+    ))
 
 
-# -- runners ----------------------------------------------------------------------
+# -- the grid runner ---------------------------------------------------------------
 
 
-def _record(psi, psi0, targets, layout, K0, Q0, time, metadata) -> EvolutionRecord:
-    leak_k, leak_q = leakage(psi, K0, Q0, layout)
-    return EvolutionRecord(
-        time=time,
-        survival=survival(psi, psi0),
-        transition=transition_prob(psi, targets, layout),
-        leak_k=leak_k,
-        leak_q=leak_q,
-        metadata=metadata,
-    )
+class _Start:
+    """One initial state on one register, with its charge sector and transition targets."""
 
-
-def _sample_seed(base_seed: int, *key) -> int:
-    text = json.dumps([base_seed, *key], sort_keys=True)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
-
-
-def _plan_meta(plan) -> dict:
-    return {
-        "plan_order": plan.order,
-        "plan_steps": plan.n_steps,
-        "plan_hash": plan.term_order_hash,
-    }
+    def __init__(self, label: str, config: ModeConfig, layout: QubitLayout, content=None):
+        self.label = label
+        self.state = _resolve_state(label, config)
+        self.K, self.Q = k_of(self.state), q_of(self.state)
+        sector = enumerate_sector(config, self.K, self.Q)
+        self.sector_dim = len(sector)
+        if content is None:
+            self.targets = [s for s in sector if s != self.state]
+        else:  # the states with these (fermion, antifermion, boson) particle counts
+            particles = [(sum(s.fermions), sum(s.antifermions), sum(s.bosons)) for s in sector]
+            self.targets = [s for s, n in zip(sector, particles) if n == tuple(content)]
+        self.psi0 = layout.basis_vector(self.state)
 
 
 def _probability_map(psi, layout, floor: float = 1e-12) -> dict[str, float]:
@@ -432,242 +440,151 @@ def _probability_map(psi, layout, floor: float = 1e-12) -> dict[str, float]:
     return {layout.format_bits(int(i)): float(probs[i]) for i in hits}
 
 
-def _sampled_survival(psi, index, layout, shots, seed) -> float:
+def _observation_times(cfg: ScenarioConfig) -> np.ndarray:
+    """Exact runs observe 0, dt, ..., t_max and Trotter runs dt, ..., t_max; without dt, t_max."""
+    if cfg.dt is None:
+        return np.array([cfg.t_max])
+    grid = np.round(np.arange(0.0, cfg.t_max + cfg.dt / 2, cfg.dt), 12)
+    return grid if cfg.mode == "exact" else grid[1:]
+
+
+def _sampled_fraction(psi, states, layout, shots: int, *seed_key) -> float:
+    """Fraction of the shots that read out one of the given basis states."""
+    text = json.dumps(list(seed_key), sort_keys=True)
+    seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
     counts = sample_counts(psi, shots, seed)
-    bits = format(index, f"0{layout.total_qubits}b")
-    return counts.get(bits, 0) / shots
+    width = layout.total_qubits
+    return sum(counts.get(format(layout.encode(s), f"0{width}b"), 0) for s in states) / shots
 
 
-def _run_rabi(cfg: ScenarioConfig):
-    layout = QubitLayout(cfg.mode_config)
-    state0 = _resolve_state(cfg.initial_state, cfg.mode_config)
-    K0, Q0 = k_of(state0), q_of(state0)
-    h = build_h(cfg.mode_config, cfg.params, layout, cfg.parts, cfg.cross_species_string)
-    psi0 = layout.basis_vector(state0)
-    times = np.round(np.arange(0.0, cfg.t_max + cfg.dt / 2, cfg.dt), 12)
-    evolved = exact_evolve(h, psi0, times, sector=(K0, Q0), layout=layout)
-    sector = enumerate_sector(cfg.mode_config, K0, Q0)
-    targets = [s for s in sector if s != state0]
-    records = [
-        _record(evolved[i], psi0, targets, layout, K0, Q0, float(t), {})
-        for i, t in enumerate(times)
-    ]
-    return records, (), (), {"hamiltonians": [h], "sector_dim": len(sector)}
+def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
+    """Evolve every start under h; ``emit(k, j, psi, meta)`` sees start k at time times[j].
+
+    Exact runs diagonalize each start's sector once for all times.  Trotter
+    runs share one plan of n_t steps over t_max between the starts and observe
+    its last len(times) steps; with ``trotter_steps`` each time gets its own
+    plan of n_t steps, observed at its end.
+    """
+    if cfg.mode == "exact":
+        for k, s in enumerate(starts):
+            evolved = exact_evolve(h, s.psi0, times, sector=(s.K, s.Q), layout=layout)
+            for j in range(len(times)):
+                emit(k, j, evolved[j], {})
+            del evolved  # one times x register array at a time
+        return
+    if cfg.trotter_steps is None:
+        plans = [(make_plan(h, cfg.t_max, n_t, cfg.order), range(len(times)))]
+    else:
+        plans = ((make_plan(h, float(t), n_t, cfg.order), [j]) for j, t in enumerate(times))
+    for plan, observed in plans:
+        first = plan.n_steps - len(observed)
+        meta = {"plan_order": plan.order, "plan_steps": plan.n_steps}
+        for k, s in enumerate(starts):
+
+            def observer(step, psi, k=k):
+                if step > first:
+                    emit(k, observed[step - first - 1], psi, dict(meta))
+
+            trotter_evolve(plan, s.psi0, observer=observer)
 
 
-def _run_trotter_study(cfg: ScenarioConfig):
-    layout = QubitLayout(cfg.mode_config)
-    state0 = _resolve_state(cfg.initial_state, cfg.mode_config)
-    K0, Q0 = k_of(state0), q_of(state0)
-    h = build_h(cfg.mode_config, cfg.params, layout, cfg.parts, cfg.cross_species_string)
-    psi0 = layout.basis_vector(state0)
-    times = np.round(np.arange(cfg.dt, cfg.t_max + cfg.dt / 2, cfg.dt), 12)
-    exact = exact_evolve(h, psi0, times, sector=(K0, Q0), layout=layout)
-    sector = enumerate_sector(cfg.mode_config, K0, Q0)
-    targets = [s for s in sector if s != state0]
-    records = []
-    for n_t in cfg.trotter_steps:
-        for i, t in enumerate(times):
-            plan = make_plan(h, float(t), n_t, cfg.order)
-            psi = trotter_evolve(plan, psi0)
-            meta = {
-                "n_trotter": n_t,
-                "transition_exact": transition_prob(exact[i], targets, layout),
-                **_plan_meta(plan),
-            }
-            records.append(_record(psi, psi0, targets, layout, K0, Q0, float(t), meta))
-    return records, ("n_trotter",), ("transition_exact",), {"hamiltonians": [h]}
+def _run_grid(cfg: ScenarioConfig):
+    """Records over n_max x lambda x n_trotter x state, in that order with time last."""
+    preset = PRESETS[cfg.scenario]
+    sweep_cols = tuple(col for key, col in _AXES if getattr(cfg, key) is not None)
+    sampled = f"{preset.get('sampled', 'survival')}_sampled" if cfg.shots else None
+    extra_cols = tuple(preset.get("extra_columns", ())) + ((sampled,) if sampled else ())
+    with_exact = "transition_exact" in extra_cols
+    times = _observation_times(cfg)
+    registers = cfg.registers()
+    records, hams = [], []
 
-
-def _run_coupling_sweep(cfg: ScenarioConfig):
-    layout = QubitLayout(cfg.mode_config)
-    records = []
-    hams = []
-    for lam in cfg.lambdas:
-        params = ModelParams(
-            fermion_mass=cfg.params.fermion_mass,
-            boson_mass=cfg.params.boson_mass,
-            coupling=float(lam),
-            inertia_cutoff=cfg.params.inertia_cutoff,
-            box_length=cfg.params.box_length,
-            include_inertias=cfg.params.include_inertias,
-        )
-        h = build_h(cfg.mode_config, params, layout, cfg.parts, cfg.cross_species_string)
-        hams.append(h)
-        plan = make_plan(h, cfg.t_max, cfg.n_steps, cfg.order)
-        for label in cfg.initial_states:
-            state0 = _resolve_state(label, cfg.mode_config)
-            K0, Q0 = k_of(state0), q_of(state0)
-            psi0 = layout.basis_vector(state0)
-            psi = trotter_evolve(plan, psi0)
-            sector = enumerate_sector(cfg.mode_config, K0, Q0)
-            targets = [s for s in sector if s != state0]
-            meta = {"lambda": float(lam), "state": label, **_plan_meta(plan)}
-            if cfg.shots:
-                seed = _sample_seed(cfg.seed, "coupling-sweep", lam, label)
-                meta["survival_sampled"] = _sampled_survival(
-                    psi, layout.encode(state0), layout, cfg.shots, seed
-                )
-            records.append(_record(psi, psi0, targets, layout, K0, Q0, cfg.t_max, meta))
-    extra = ("survival_sampled",) if cfg.shots else ()
-    return records, ("lambda", "state"), extra, {"hamiltonians": hams}
-
-
-def _run_nmax_study(cfg: ScenarioConfig):
-    records = []
-    hams = []
-    for n_max in cfg.n_values:
-        config = ModeConfig.uniform(n_max, cfg.mode_config.boson_modals[0])
+    for n_max, config in registers:
         layout = QubitLayout(config)
-        for lam in cfg.lambdas:
-            params = ModelParams(
-                fermion_mass=cfg.params.fermion_mass,
-                boson_mass=cfg.params.boson_mass,
-                coupling=float(lam),
-                inertia_cutoff=cfg.params.inertia_cutoff,
-                box_length=cfg.params.box_length,
-                include_inertias=cfg.params.include_inertias,
-            )
+        starts = [
+            _Start(label, config, layout, preset.get("target_content"))
+            for label in cfg.initial_states or (cfg.initial_state,)
+        ]
+        for lam in cfg.lambdas or (cfg.params.coupling,):
+            params = replace(cfg.params, coupling=float(lam))
             h = build_h(config, params, layout, cfg.parts, cfg.cross_species_string)
             hams.append(h)
-            plan = make_plan(h, cfg.t_max, cfg.n_steps, cfg.order)
-            for label in cfg.initial_states:
-                state0 = _resolve_state(label, config)
-                K0, Q0 = k_of(state0), q_of(state0)
-                psi0 = layout.basis_vector(state0)
-                psi = trotter_evolve(plan, psi0)
-                sector = enumerate_sector(config, K0, Q0)
-                targets = [s for s in sector if s != state0]
-                meta = {
-                    "n_max": n_max,
-                    "lambda": float(lam),
-                    "state": label,
-                    **_plan_meta(plan),
-                }
-                records.append(_record(psi, psi0, targets, layout, K0, Q0, cfg.t_max, meta))
-    return records, ("n_max", "lambda", "state"), (), {"hamiltonians": hams}
+            exact = None  # exact transition per (start, time) next to a Trotter run
+            if with_exact and cfg.mode == "trotter":
+                exact = [
+                    [transition_prob(psi, s.targets, layout) for psi in
+                     exact_evolve(h, s.psi0, times, sector=(s.K, s.Q), layout=layout)]
+                    for s in starts
+                ]
+            for n_t in cfg.trotter_steps or (cfg.n_steps,):
+                rows = [[] for _ in starts]
 
+                def emit(k, j, psi, meta):
+                    start = starts[k]
+                    cell = {"n_max": n_max, "lambda": lam, "n_trotter": n_t, "state": start.label}
+                    key = [cell[c] for c in sweep_cols]
+                    meta.update(zip(sweep_cols, key))  # the seed key keeps lambda as configured
+                    if "lambda" in meta:
+                        meta["lambda"] = float(lam)
+                    leak_k, leak_q = leakage(psi, start.K, start.Q, layout)
+                    rec = EvolutionRecord(
+                        float(times[j]), survival(psi, start.psi0),
+                        transition_prob(psi, start.targets, layout), leak_k, leak_q, metadata=meta,
+                    )
+                    if with_exact:
+                        meta["transition_exact"] = rec.transition if exact is None else exact[k][j]
+                    if sampled:
+                        if len(times) > 1:
+                            key.append(float(times[j]))
+                        hits = [start.state] if sampled == "survival_sampled" else start.targets
+                        meta[sampled] = _sampled_fraction(
+                            psi, hits, layout, cfg.shots, cfg.seed, cfg.scenario, *key
+                        )
+                    if preset.get("probabilities"):
+                        rec.probabilities = _probability_map(psi, layout)
+                    rows[k].append(rec)
 
-def _run_pp_collision(cfg: ScenarioConfig):
-    layout = QubitLayout(cfg.mode_config)
-    state0 = _resolve_state(cfg.initial_state, cfg.mode_config)
-    K0, Q0 = k_of(state0), q_of(state0)
-    h = build_h(cfg.mode_config, cfg.params, layout, cfg.parts, cfg.cross_species_string)
-    psi0 = layout.basis_vector(state0)
-    targets = [
-        s
-        for s in enumerate_sector(cfg.mode_config, K0, Q0)
-        if sum(s.fermions) == 2 and sum(s.antifermions) == 0 and sum(s.bosons) == 2
-    ]
-    plan = make_plan(h, cfg.t_max, cfg.n_steps, cfg.order)
-    records = []
+                _evolve(cfg, h, starts, layout, times, n_t, emit)
+                for part in rows:
+                    records.extend(part)
 
-    def observer(step, psi):
-        records.append(
-            _record(
-                psi, psi0, targets, layout, K0, Q0, round(step * cfg.dt, 12), _plan_meta(plan)
-            )
-        )
-
-    trotter_evolve(plan, psi0, observer=observer)
-    return records, (), (), {"hamiltonians": [h], "n_targets": len(targets)}
-
-
-def _run_hardware_minimal(cfg: ScenarioConfig):
-    layout = QubitLayout(cfg.mode_config)
-    state0 = _resolve_state(cfg.initial_state, cfg.mode_config)
-    K0, Q0 = k_of(state0), q_of(state0)
-    psi0 = layout.basis_vector(state0)
-    sector = enumerate_sector(cfg.mode_config, K0, Q0)
-    targets = [s for s in sector if s != state0]
-    records = []
-    hams = []
-    for lam in cfg.lambdas:
-        params = ModelParams(
-            fermion_mass=cfg.params.fermion_mass,
-            boson_mass=cfg.params.boson_mass,
-            coupling=float(lam),
-            inertia_cutoff=cfg.params.inertia_cutoff,
-            box_length=cfg.params.box_length,
-            include_inertias=cfg.params.include_inertias,
-        )
-        h = build_h(cfg.mode_config, params, layout, cfg.parts, cfg.cross_species_string)
-        hams.append(h)
-        plan = make_plan(h, cfg.t_max, cfg.n_steps, cfg.order)
-        psi = trotter_evolve(plan, psi0)
-        exact = exact_evolve(h, psi0, cfg.t_max, sector=(K0, Q0), layout=layout)
-        meta = {
-            "lambda": float(lam),
-            "transition_exact": transition_prob(exact, targets, layout),
-            **_plan_meta(plan),
-        }
-        if cfg.shots:
-            seed = _sample_seed(cfg.seed, "hardware-minimal", lam)
-            counts = sample_counts(psi, cfg.shots, seed)
-            hit = sum(
-                counts.get(format(layout.encode(s), f"0{layout.total_qubits}b"), 0)
-                for s in targets
-            )
-            meta["transition_sampled"] = hit / cfg.shots
-        rec = _record(psi, psi0, targets, layout, K0, Q0, cfg.t_max, meta)
-        rec.probabilities = _probability_map(psi, layout)
-        records.append(rec)
-    extra = ("transition_exact",) + (("transition_sampled",) if cfg.shots else ())
-    return records, ("lambda",), extra, {"hamiltonians": hams}
-
-
-_RUNNERS = {
-    "rabi": _run_rabi,
-    "trotter-study": _run_trotter_study,
-    "coupling-sweep": _run_coupling_sweep,
-    "nmax-study": _run_nmax_study,
-    "pp-collision": _run_pp_collision,
-    "hardware-minimal": _run_hardware_minimal,
-}
+    extras = {}
+    if len(registers) == 1 and len(starts) == 1:
+        extras = {"sector_dim": starts[0].sector_dim, "n_targets": len(starts[0].targets)}
+    return records, sweep_cols, extra_cols, hams, extras
 
 
 def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     """Execute a scenario; returns its records and writes CSV plus a manifest."""
-    if cfg.scenario not in _RUNNERS:
+    if cfg.scenario not in PRESETS:
         raise SchemaError(f"scenario: unknown scenario {cfg.scenario!r}")
-    records, sweep_cols, extra_cols, extras = _RUNNERS[cfg.scenario](cfg)
+    records, sweep_cols, extra_cols, hams, extras = _run_grid(cfg)
     csv_text = records_to_csv(records, sweep_cols, extra_cols)
     manifest = {
         "package_version": __version__,
         "config": cfg.echo(),
         "qubits": QubitLayout(cfg.mode_config).total_qubits,
-        "hamiltonian_term_counts": [len(h) for h in extras.get("hamiltonians", [])],
-        "hamiltonian_hashes": [
-            hashlib.sha256(dumps(h).encode()).hexdigest()
-            for h in extras.get("hamiltonians", [])
-        ],
+        "hamiltonian_term_counts": [len(h) for h in hams],
+        "hamiltonian_hashes": [hashlib.sha256(dumps(h).encode()).hexdigest() for h in hams],
         "records": len(records),
-        "csv_columns": list(sweep_cols) + list(("time", "survival", "transition", "leak_K", "leak_Q")) + list(extra_cols),
+        "csv_columns": csv_text.partition("\n")[0].split(","),
+        **extras,
     }
-    for key, value in extras.items():
-        if key != "hamiltonians":
-            manifest[key] = value
     files = {}
     if write_files:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        csv_path = os.path.join(cfg.output_dir, f"{cfg.scenario}.csv")
-        manifest_path = os.path.join(cfg.output_dir, f"{cfg.scenario}.manifest.json")
-        with open(csv_path, "w") as fh:
-            fh.write(csv_text)
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        files = {"csv": csv_path, "manifest": manifest_path}
+        manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        outputs = {"csv": csv_text, "manifest": manifest_text}
         detailed = [
-            {"time": r.time, **{k: v for k, v in r.metadata.items() if k != "plan_hash"},
-             "probabilities": r.probabilities}
+            {"time": r.time, **r.metadata, "probabilities": r.probabilities}
             for r in records
             if r.probabilities is not None
         ]
         if detailed:
-            prob_path = os.path.join(cfg.output_dir, f"{cfg.scenario}.probabilities.json")
-            with open(prob_path, "w") as fh:
-                json.dump(detailed, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            files["probabilities"] = prob_path
+            outputs["probabilities"] = json.dumps(detailed, indent=2, sort_keys=True) + "\n"
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        for kind, text in outputs.items():
+            suffix = ".csv" if kind == "csv" else f".{kind}.json"
+            files[kind] = os.path.join(cfg.output_dir, cfg.scenario + suffix)
+            with open(files[kind], "w") as fh:
+                fh.write(text)
     return records, csv_text, manifest, files

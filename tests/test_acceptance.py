@@ -5,10 +5,12 @@ failure report).  Criteria that sweep parameters build their Hamiltonians from
 coupling-resolved components so the whole suite stays within its time budget.
 """
 
+import csv
 import json
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +362,19 @@ def test_c08_pp_peak_inside_published_window(pp_records):
         trans = np.array([r.transition for r in records])
         peak_time = times[int(np.argmax(trans))]
         assert 0.05 <= peak_time <= 0.2
+
+
+def test_c08_pp_reproduces_golden_first_steps(pp_records):
+    with criterion(8, "first 20 steps reproduce the committed pp-collision run to 1e-10"):
+        records, _ = pp_records
+        golden = Path(__file__).resolve().parent / "golden" / "demo-pp-collision" / "pp-collision.csv"
+        with open(golden, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 20
+        for rec, row in zip(records, rows):
+            assert rec.time == pytest.approx(float(row["time"]), abs=1e-12)
+            assert abs(rec.survival - float(row["survival"])) <= 1e-10
+            assert abs(rec.transition - float(row["transition"])) <= 1e-10
 
 
 # -- 9: minimal two-mode run -----------------------------------------------------------

@@ -6,20 +6,17 @@ from lfyukawa.fock import (
     ModeConfig,
     QubitLayout,
     charge_tables,
-    decode,
-    encode,
     enumerate_sector,
     k_of,
     q_of,
-    qubit_count,
 )
 
 
 def test_qubit_count_reference_registers():
-    assert qubit_count(ModeConfig.uniform(3, 3)) == 12
-    assert qubit_count(ModeConfig.uniform(1, 1)) == 3
-    assert qubit_count(ModeConfig.uniform(5, 3)) == 20
-    assert qubit_count(ModeConfig(2, 3, 2, (7, 1))) == 2 + 3 + 3 + 1
+    assert QubitLayout(ModeConfig.uniform(3, 3)).total_qubits == 12
+    assert QubitLayout(ModeConfig.uniform(1, 1)).total_qubits == 3
+    assert QubitLayout(ModeConfig.uniform(5, 3)).total_qubits == 20
+    assert QubitLayout(ModeConfig(2, 3, 2, (7, 1))).total_qubits == 2 + 3 + 3 + 1
 
 
 def test_modal_cap_must_fill_qubits():
@@ -55,15 +52,15 @@ def test_encode_rejects_over_cap():
 
 def test_decode_reference_state():
     layout = QubitLayout(ModeConfig.uniform(3, 3))
-    state = decode(layout.parse_bits("100 000 01 00 00"), layout)
+    state = layout.decode(layout.parse_bits("100 000 01 00 00"))
     assert state == FockState((1, 0, 0), (0, 0, 0), (1, 0, 0))
-    assert decode(0, layout) == FockState.vacuum(layout.config)
+    assert layout.decode(0) == FockState.vacuum(layout.config)
 
 
 def test_encode_decode_roundtrip_exhaustive():
     layout = QubitLayout(ModeConfig.uniform(3, 3))
     for index in range(1 << layout.total_qubits):
-        assert encode(decode(index, layout), layout) == index
+        assert layout.encode(layout.decode(index)) == index
 
 
 def test_charges_reference_values():

@@ -1,15 +1,27 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfyukawa.cli import main
+from lfyukawa.evolve import NORM_TOL
+from lfyukawa.pauli import COMPARE_TOL, DEFAULT_TOL
 from lfyukawa.scenarios import (
+    _EVOLUTION_KEYS,
+    _KNOWN_KEYS,
+    PRESETS,
+    ConfigError,
     PhysicsError,
+    ScenarioConfig,
     SchemaError,
     parse_config,
     run_scenario,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_minimal_document_gets_full_defaults():
@@ -25,6 +37,10 @@ def test_minimal_document_gets_full_defaults():
     assert cfg.mode == "exact"
     echo = cfg.echo()
     assert echo["tolerances"]["coeff_drop"] == 1e-12
+    # the echo reads the constants the code applies, with unchanged values
+    tolerances = {"coeff_drop": DEFAULT_TOL, "canonical_compare": COMPARE_TOL, "norm": NORM_TOL}
+    assert echo["tolerances"] == tolerances
+    assert tolerances == {"coeff_drop": 1e-12, "canonical_compare": 1e-10, "norm": 1e-9}
 
 
 def test_overrides_apply():
@@ -43,6 +59,18 @@ def test_schema_errors_carry_field_paths():
         parse_config('{"scenario": "frobnicate"}')
     with pytest.raises(SchemaError):
         parse_config("not json at all")
+    malformed = [
+        ('{"scenario": "rabi", "initial_state": 7}', "initial_state"),
+        ('{"scenario": "coupling-sweep", "initial_states": 5}', "initial_states"),
+        ('{"scenario": "coupling-sweep", "initial_states": [5]}', "initial_states"),
+        ('{"scenario": "rabi", "parts": 5}', "parts"),
+        ('{"scenario": "nmax-study", "n_values": [0]}', "n_values"),
+        ('{"scenario": "trotter-study", "trotter_steps": [0]}', "trotter_steps"),
+        ('{"scenario": "rabi", "trotter_steps": [2, 3]}', "trotter_steps"),
+    ]
+    for text, path in malformed:
+        with pytest.raises(SchemaError, match=path):
+            parse_config(text)
 
 
 def test_physics_errors_are_distinct():
@@ -52,6 +80,42 @@ def test_physics_errors_are_distinct():
         parse_config('{"scenario": "rabi", "inertia_cutoff": 2}')
     with pytest.raises(PhysicsError, match="modals"):
         parse_config('{"scenario": "rabi", "modals": 2}')
+    with pytest.raises(PhysicsError, match="box_length"):
+        parse_config('{"scenario": "rabi", "box_length": -1.0}')
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["exact", "trotter", "f2", "f4f5", "phi2", "HM", "010 000 00 00 00"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _documents(draw):
+    keys = st.sampled_from(sorted(_KNOWN_KEYS - {"scenario", "evolution"}))
+    doc = draw(st.dictionaries(keys, _json_values, max_size=5))
+    if draw(st.booleans()):
+        evolution = st.dictionaries(st.sampled_from(sorted(_EVOLUTION_KEYS)), _json_values, max_size=5)
+        doc["evolution"] = draw(evolution | _json_values)
+    doc["scenario"] = draw(st.sampled_from(sorted(PRESETS)) | _json_values)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_parse_config_raises_only_config_errors(doc):
+    # a malformed document must exit 2 (ConfigError), never 1 (any other exception)
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
 
 
 def test_grid_consistency_enforced():
@@ -237,3 +301,82 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+def test_coupling_sweep_reproduces_golden_rows(tmp_path):
+    golden = (GOLDEN / "demo-coupling-sweep" / "coupling-sweep.csv").read_text().splitlines()
+    want = [golden[0]] + [row for row in golden[1:] if row.startswith("1,")]
+    assert len(want) == 5
+    doc = {
+        "scenario": "coupling-sweep",
+        "lambdas": [1.0],
+        "seed": 11,
+        "output_dir": str(tmp_path / "cs"),
+    }
+    _, csv_text, _, _ = run_scenario(parse_config(json.dumps(doc)))
+    assert csv_text.splitlines() == want
+
+
+def test_grid_keys_are_never_ignored(tmp_path):
+    # every sweep key either adds its column or is rejected, whatever the preset
+    doc = {
+        "scenario": "rabi",
+        "lambdas": [1.0, 2.0],
+        "evolution": {"mode": "exact", "t_max": 0.1, "dt": 0.05},
+        "output_dir": str(tmp_path / "rabi"),
+    }
+    records, csv_text, _, _ = run_scenario(parse_config(json.dumps(doc)))
+    assert csv_text.splitlines()[0].startswith("lambda,time,")
+    assert [(r.metadata["lambda"], r.time) for r in records] == [
+        (lam, t) for lam in (1.0, 2.0) for t in (0.0, 0.05, 0.1)
+    ]
+    assert records[1].survival != records[4].survival
+
+    doc = {
+        "scenario": "pp-collision",
+        "n_modes": 3,
+        "initial_states": ["f2", "fbar2"],
+        "evolution": {"mode": "trotter", "t_max": 0.01, "dt": 0.005, "order": 1},
+        "output_dir": str(tmp_path / "pp"),
+    }
+    records, csv_text, manifest, _ = run_scenario(parse_config(json.dumps(doc)))
+    assert csv_text.splitlines()[0].startswith("state,time,")
+    assert [(r.metadata["state"], r.time) for r in records] == [
+        ("f2", 0.005), ("f2", 0.01), ("fbar2", 0.005), ("fbar2", 0.01)
+    ]
+    assert "n_targets" not in manifest  # two sectors: no single sector to describe
+
+    with pytest.raises(SchemaError, match="trotter_steps"):
+        parse_config('{"scenario": "trotter-study", "evolution": {"mode": "exact"}}')
+
+    doc = {
+        "scenario": "nmax-study",
+        "n_values": [2],
+        "lambdas": [1.0],
+        "initial_states": ["f2"],
+        "shots": 64,
+        "output_dir": str(tmp_path / "nm"),
+    }
+    records, csv_text, _, _ = run_scenario(parse_config(json.dumps(doc)))
+    assert csv_text.splitlines()[0].endswith(",survival_sampled")
+    assert 0.0 <= records[0].metadata["survival_sampled"] <= 1.0
+
+
+def test_trotter_steps_sweep_over_states(tmp_path):
+    doc = {
+        "scenario": "trotter-study",
+        "trotter_steps": [1, 2],
+        "initial_states": ["f2", "fbar2"],
+        "evolution": {"mode": "trotter", "t_max": 0.1, "dt": 0.05, "order": 1},
+        "output_dir": str(tmp_path / "ts"),
+    }
+    records, csv_text, _, _ = run_scenario(parse_config(json.dumps(doc)))
+    assert csv_text.splitlines()[0].startswith("n_trotter,state,time,")
+    keys = [(r.metadata["n_trotter"], r.metadata["state"], r.time) for r in records]
+    assert keys == [(n, s, t) for n in (1, 2) for s in ("f2", "fbar2") for t in (0.05, 0.1)]
+    by_key = {k: r for k, r in zip(keys, records)}
+    for n in (1, 2):  # b <-> d symmetry: the two states evolve alike
+        for t in (0.05, 0.1):
+            assert by_key[(n, "f2", t)].survival == pytest.approx(
+                by_key[(n, "fbar2", t)].survival, abs=1e-12
+            )
