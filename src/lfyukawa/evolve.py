@@ -21,9 +21,9 @@ from .pauli import (
     MATRIX_QUBIT_CAP,
     PauliString,
     PauliSum,
+    _PHASES,
     _index_array,
     _letters_to_masks,
-    _masks_to_letters,
     _term_phase,
     subspace_matrix,
     to_matrix,
@@ -44,7 +44,6 @@ __all__ = [
 
 SECTOR_DIM_CAP = 4096
 NORM_TOL = 1e-9  # largest norm drift a Trotter evolution may show
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 def _rotate(psi: np.ndarray, x: int, z: int, theta: float) -> np.ndarray:
@@ -113,7 +112,7 @@ def exact_evolve(
         outside = 1.0 - float(np.vdot(amp, amp).real) / float(np.vdot(psi0, psi0).real)
         if outside > support_tol:
             raise ValueError(f"psi0 carries probability {outside:.3e} outside sector (K={K0}, Q={Q0})")
-        mat = subspace_matrix(h, indices.tolist())
+        mat = subspace_matrix(h, indices)
         evolved = _eig_evolve(mat, amp, times)
         out = np.zeros((len(times), psi0.size), dtype=complex)
         out[:, indices] = evolved
@@ -138,17 +137,17 @@ def _flip_positions(x: int, n: int) -> tuple[int, ...]:
 class TrotterPlan:
     """Ordered rotation realization of one evolution.
 
-    ``step_terms`` is the literal per-step rotation sequence (already the
-    half-angle palindrome for order 2); the rotation angle of a Hamiltonian
-    term with coefficient c is c*t/n_steps at order 1.  Identity strings are
-    applied as the exact per-step phase, not as rotations.
+    ``rotations`` is the literal per-step sequence of unit-string rotations
+    ``(x, z, angle)`` (already the half-angle palindrome for order 2); the
+    angle of a Hamiltonian term with coefficient c is c*t/n_steps at order 1.
+    Identity strings are applied as the exact per-step phase, not as rotations.
     """
 
     n_qubits: int
     order: int
     n_steps: int
     total_time: float
-    step_terms: tuple[tuple[PauliString, float], ...]
+    rotations: tuple[tuple[int, int, float], ...]
     step_phase: complex
     term_order: str = "diagonal-first, then flip-pattern-grouped lexicographic"
     _compiled: list | None = field(default=None, repr=False, compare=False)
@@ -156,7 +155,7 @@ class TrotterPlan:
     @property
     def term_order_hash(self) -> str:
         text = f"{self.order} {self.n_steps} {self.total_time:.17g}\n" + "\n".join(
-            f"{p.letters} {angle:.17g}" for p, angle in self.step_terms
+            f"{x:x} {z:x} {angle:.17g}" for x, z, angle in self.rotations
         )
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -172,27 +171,28 @@ def make_plan(h: PauliSum, t: float, n_steps: int, order: int = 1) -> TrotterPla
     n = h.n_qubits
     dt = t / n_steps
     identity_coeff = 0.0
-    entries = []  # (sort key, letters, coefficient)
-    for (x, z), c in h._terms.items():
-        if x == 0 and z == 0:
-            identity_coeff = c.real
-            continue
-        letters = _masks_to_letters(x, z, n)
-        key = (x != 0, _flip_positions(x, n), z & ~x, letters)
-        entries.append((key, letters, c.real))
-    entries.sort(key=lambda e: e[0])
-    base = [(PauliString(1.0, letters), c * dt) for _, letters, c in entries]
+    base = []
+    # diagonal group first, then by flip positions; within a group by the Z letters
+    # outside the flips, then the Y letters among them: the letter strings' lexicographic order
+    groups = sorted(h.flip_groups, key=lambda g: (g[0] != 0, _flip_positions(g[0], n)))
+    for x, zs, coeffs in groups:
+        for z, c in sorted(zip(zs, coeffs), key=lambda e: (e[0] & ~x, e[0] & x)):
+            c = float((c * _PHASES[-(x & z).bit_count() & 3]).real)  # unfold i**nY
+            if x == 0 and z == 0:
+                identity_coeff = c
+            else:
+                base.append((x, z, c * dt))
     if order == 1:
         step = tuple(base)
     else:
-        halves = [(p, a / 2.0) for p, a in base[:-1]]
+        halves = [(x, z, a / 2.0) for x, z, a in base[:-1]]
         step = tuple(halves + [base[-1]] + halves[::-1]) if base else ()
     return TrotterPlan(
         n_qubits=n,
         order=order,
         n_steps=n_steps,
         total_time=t,
-        step_terms=step,
+        rotations=step,
         step_phase=complex(np.exp(-1j * identity_coeff * dt)),
     )
 
@@ -216,10 +216,7 @@ def _compile_plan(plan: TrotterPlan) -> list:
     rotation-by-rotation reference up to float round-off.
     """
     n = plan.n_qubits
-    rotations = []
-    for p, angle in plan.step_terms:
-        x, z = _letters_to_masks(p.letters)
-        rotations.append((x, z, angle))
+    rotations = plan.rotations
     segments: list = []
     i = 0
     while i < len(rotations):
@@ -358,9 +355,8 @@ def trotter_evolve(
         method = "blocked" if plan.n_qubits >= 14 else "sequential"
     psi = psi0.astype(complex, copy=True)
     if method == "sequential":
-        masks = [(_letters_to_masks(p.letters), angle) for p, angle in plan.step_terms]
         for step in range(plan.n_steps):
-            for (x, z), angle in masks:
+            for x, z, angle in plan.rotations:
                 _rotate(psi, x, z, angle)
             psi *= plan.step_phase
             if observer is not None:
@@ -403,8 +399,8 @@ class PlanCost:
 
 def plan_cost(plan: TrotterPlan) -> PlanCost:
     """Abstract cost: total rotation count and an entangling-weight proxy."""
-    per_step = len(plan.step_terms)
-    weight = sum(p.weight - 1 for p, _ in plan.step_terms)
+    per_step = len(plan.rotations)
+    weight = sum((x | z).bit_count() - 1 for x, z, _ in plan.rotations)
     return PlanCost(
         rotations_total=per_step * plan.n_steps,
         two_qubit_weight=weight * plan.n_steps,

@@ -84,10 +84,6 @@ class PauliString:
     def n_qubits(self) -> int:
         return len(self.letters)
 
-    @property
-    def weight(self) -> int:
-        return sum(ch != "I" for ch in self.letters)
-
 
 class PauliSum:
     """Canonical sum of Pauli strings on a fixed register.
@@ -96,12 +92,13 @@ class PauliSum:
     removed, iteration in lexicographic letter order (I < X < Y < Z).
     """
 
-    __slots__ = ("n_qubits", "_terms", "_sorted")
+    __slots__ = ("n_qubits", "_terms", "_sorted", "_groups")
 
     def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex] | None = None):
         self.n_qubits = int(n_qubits)
         self._terms: dict[tuple[int, int], complex] = terms if terms is not None else {}
         self._sorted: tuple[PauliString, ...] | None = None
+        self._groups: tuple[tuple[int, tuple[int, ...], np.ndarray], ...] | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -128,6 +125,24 @@ class PauliSum:
             items.sort(key=lambda t: t[0])
             self._sorted = tuple(PauliString(c, s) for s, c in items)
         return self._sorted
+
+    @property
+    def flip_groups(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
+        """The terms grouped by flip mask: one ``(x, z masks, coefficients)`` per group.
+
+        Each coefficient carries its string's i**nY phase, so a group maps basis
+        index i to i ^ x with amplitude sum_j coeffs[j] * (-1)**popcount(i & z_j).
+        """
+        if self._groups is None:
+            acc: dict[int, tuple[list[int], list[complex]]] = {}
+            for (x, z), c in self._terms.items():
+                zs, cs = acc.setdefault(x, ([], []))
+                zs.append(z)
+                cs.append(c * _PHASES[(x & z).bit_count() & 3])
+            self._groups = tuple(
+                (x, tuple(zs), np.array(cs, dtype=complex)) for x, (zs, cs) in acc.items()
+            )
+        return self._groups
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -288,33 +303,29 @@ def subspace_matrix(
 ) -> np.ndarray:
     """Matrix of the sum restricted to the span of the given basis indices.
 
-    With ``check_leak`` the out-of-span matrix elements are accumulated and the
-    call raises if any exceeds tol, which is how sector restriction of a
-    conserving Hamiltonian is validated; disabling the check is appropriate
-    when conservation has been established separately.
+    Each flip group fills its elements in one step.  With ``check_leak`` the
+    call raises if an out-of-span element (it belongs to one group) exceeds
+    tol, which validates the sector restriction of a conserving Hamiltonian;
+    disable it when conservation has been established separately.
     """
-    arr = np.asarray(list(indices), dtype=np.int64)
+    arr = np.fromiter(indices, dtype=np.int64)
     dim = arr.size
     order = np.argsort(arr, kind="stable")
     sorted_arr = arr[order]
     cols = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    leak: dict[tuple[int, int], complex] = {}
-    for (x, z), c in op._terms.items():
-        vals = c * _term_phase(arr, x, z)
+    worst = 0.0
+    for x, zs, coeffs in op.flip_groups:
+        par = np.bitwise_count(arr[:, None] & np.array(zs, dtype=np.int64)) & 1
+        vals = (1.0 - 2.0 * par) @ coeffs
         targets = arr ^ x
-        pos = np.searchsorted(sorted_arr, targets)
-        pos_c = np.minimum(pos, dim - 1)
-        hit = sorted_arr[pos_c] == targets
-        mat[order[pos_c[hit]], cols[hit]] += vals[hit]
+        pos = np.minimum(np.searchsorted(sorted_arr, targets), dim - 1)
+        hit = sorted_arr[pos] == targets
+        mat[order[pos[hit]], cols[hit]] = vals[hit]
         if check_leak and not hit.all():
-            for i, j, v in zip(arr[~hit], targets[~hit], vals[~hit]):
-                key = (int(j), int(i))
-                leak[key] = leak.get(key, 0.0) + v
-    if check_leak:
-        worst = max((abs(v) for v in leak.values()), default=0.0)
-        if worst > tol:
-            raise ValueError(f"operator leaves the subspace (matrix element {worst:.3e})")
+            worst = max(worst, float(np.abs(vals[~hit]).max()))
+    if worst > tol:
+        raise ValueError(f"operator leaves the subspace (matrix element {worst:.3e})")
     return mat
 
 

@@ -265,9 +265,7 @@ def _axis(merged: dict, key: str, check) -> tuple | None:
     if value is None:
         return None
     _require(isinstance(value, list) and value, key, "must be a non-empty list")
-    for i, entry in enumerate(value):
-        check(entry, f"{key}[{i}]")
-    return tuple(value)
+    return tuple(check(entry, f"{key}[{i}]") for i, entry in enumerate(value))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -306,8 +304,6 @@ def parse_config(text: str) -> ScenarioConfig:
     if modals & (modals + 1):
         raise PhysicsError(f"modals: cap {modals} is not of the form 2**t - 1")
     mode_config = ModeConfig(nf, na, nb, (modals,) * nb)
-    n_values = _axis(merged, "n_values", _modes)
-
     params = ModelParams(
         fermion_mass=field("fermion_mass", 6.7, _number),
         boson_mass=field("boson_mass", 1.0, _number),
@@ -316,15 +312,6 @@ def parse_config(text: str) -> ScenarioConfig:
         box_length=field("box_length", 2.0 * math.pi, _number),
         include_inertias=field("include_inertias", False, _boolean),
     )
-    if params.fermion_mass <= 0 or params.boson_mass <= 0:
-        raise PhysicsError("masses must be positive (massive-field regularization)")
-    if params.box_length <= 0:
-        raise PhysicsError("box_length must be positive")
-    largest_n = max(nf, na, nb, *(n_values or ()))
-    if params.inertia_cutoff < largest_n:
-        raise PhysicsError(
-            f"inertia_cutoff: {params.inertia_cutoff} is below the largest mode number {largest_n}"
-        )
 
     evo = merged.get("evolution", {})
     mode = evo.get("mode", "exact")
@@ -373,12 +360,16 @@ def parse_config(text: str) -> ScenarioConfig:
         output_dir=field("output_dir", os.path.join("runs", scenario), _string),
         lambdas=_axis(merged, "lambdas", _number),
         trotter_steps=trotter_steps,
-        n_values=n_values,
+        n_values=_axis(merged, "n_values", _modes),
         initial_states=_axis(merged, "initial_states", _string),
         cross_species_string=field("cross_species_string", True, _boolean),
     )
-    # fail early on initial states that some register of the run cannot hold
+    # fail early on parameters or initial states that some register of the run cannot hold
     for _, config in cfg.registers():
+        try:
+            params.validate(config)
+        except ValueError as err:
+            raise PhysicsError(str(err)) from None
         for label in cfg.initial_states or (cfg.initial_state,):
             _resolve_state(label, config)
     return cfg
@@ -506,7 +497,7 @@ def _run_grid(cfg: ScenarioConfig):
             for label in cfg.initial_states or (cfg.initial_state,)
         ]
         for lam in cfg.lambdas or (cfg.params.coupling,):
-            params = replace(cfg.params, coupling=float(lam))
+            params = replace(cfg.params, coupling=lam)
             h = build_h(config, params, layout, cfg.parts, cfg.cross_species_string)
             hams.append(h)
             exact = None  # exact transition per (start, time) next to a Trotter run
@@ -523,9 +514,7 @@ def _run_grid(cfg: ScenarioConfig):
                     start = starts[k]
                     cell = {"n_max": n_max, "lambda": lam, "n_trotter": n_t, "state": start.label}
                     key = [cell[c] for c in sweep_cols]
-                    meta.update(zip(sweep_cols, key))  # the seed key keeps lambda as configured
-                    if "lambda" in meta:
-                        meta["lambda"] = float(lam)
+                    meta.update(zip(sweep_cols, key))
                     leak_k, leak_q = leakage(psi, start.K, start.Q, layout)
                     rec = EvolutionRecord(
                         float(times[j]), survival(psi, start.psi0),

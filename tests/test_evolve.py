@@ -13,7 +13,13 @@ from lfyukawa.evolve import (
 )
 from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector
 from lfyukawa.hamiltonian import ModelParams, build_h
-from lfyukawa.pauli import PauliString, canonicalize, subspace_matrix, to_matrix
+from lfyukawa.pauli import (
+    PauliString,
+    _letters_to_masks,
+    canonicalize,
+    subspace_matrix,
+    to_matrix,
+)
 
 from oracles import rabi_transition
 
@@ -123,11 +129,11 @@ def test_plan_counts_and_palindrome(two_level):
     _, _, h, _, _, _, _ = two_level
     n_terms = sum(1 for t in h.terms if set(t.letters) != {"I"})
     plan1 = make_plan(h, 0.2, 10, order=1)
-    assert len(plan1.step_terms) == n_terms
+    assert len(plan1.rotations) == n_terms
     plan2 = make_plan(h, 0.2, 10, order=2)
-    assert len(plan2.step_terms) == 2 * n_terms - 1
+    assert len(plan2.rotations) == 2 * n_terms - 1
     # palindrome: same rotation sequence read both ways
-    seq = [(p.letters, round(a, 15)) for p, a in plan2.step_terms]
+    seq = [(x, z, round(a, 15)) for x, z, a in plan2.rotations]
     assert seq == seq[::-1]
     with pytest.raises(ValueError):
         make_plan(h, 0.2, 0)
@@ -136,9 +142,9 @@ def test_plan_counts_and_palindrome(two_level):
 def test_plan_angles_scale_with_coefficients(two_level):
     _, _, h, _, _, _, _ = two_level
     plan = make_plan(h, 0.2, 10, order=1)
-    coeffs = {t.letters: t.coeff.real for t in h.terms}
-    for pauli, angle in plan.step_terms:
-        assert angle == pytest.approx(coeffs[pauli.letters] * 0.02)
+    coeffs = {_letters_to_masks(t.letters): t.coeff.real for t in h.terms}
+    for x, z, angle in plan.rotations:
+        assert angle == pytest.approx(coeffs[x, z] * 0.02)
 
 
 def test_trotter_exact_for_commuting_terms(two_level):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfyukawa.fock import FockState, ModeConfig, QubitLayout
 from lfyukawa.pauli import (
@@ -178,6 +180,52 @@ def test_subspace_matrix_detects_leakage():
     op = PauliSum.from_label("XI")
     with pytest.raises(ValueError):
         subspace_matrix(op, [0, 1])  # X on qubit 0 maps span{00,01} outside itself
+
+
+# -- properties on random sums ------------------------------------------------------
+
+# Gaussian-integer coefficients keep every product and matrix element exact.
+_coeffs = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _sums(n_qubits: int, count: int):
+    term = st.tuples(_coeffs, st.text("IXYZ", min_size=n_qubits, max_size=n_qubits))
+    one = st.lists(term, min_size=1, max_size=6).map(
+        lambda terms: canonicalize([PauliString(c, s) for c, s in terms])
+    )
+    return st.tuples(*[one] * count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _sums(n, 2)))
+def test_product_and_adjoint_algebra_on_random_sums(pair):
+    a, b = pair
+    ab = product(a, b)
+    assert np.allclose(to_matrix(ab), to_matrix(a) @ to_matrix(b), atol=1e-12)
+    assert adjoint(ab).equals(product(adjoint(b), adjoint(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            _sums(n, 1),
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n, unique=True),
+        )
+    ),
+    st.sampled_from([0.5, 1.5, 3.0]),
+)
+def test_subspace_matrix_matches_apply_columns(case, tol):
+    (op,), indices = case
+    columns = np.stack([apply(op, np.eye(1 << op.n_qubits)[i]) for i in indices], axis=1)
+    outside = np.delete(columns, indices, axis=0)
+    worst = np.max(np.abs(outside), initial=0.0)
+    assert np.allclose(subspace_matrix(op, indices, check_leak=False), columns[indices], atol=1e-12)
+    if worst > tol:
+        with pytest.raises(ValueError):
+            subspace_matrix(op, indices, tol=tol)
+    else:
+        assert np.allclose(subspace_matrix(op, indices, tol=tol), columns[indices], atol=1e-12)
 
 
 # -- Jordan-Wigner ladders ----------------------------------------------------------

@@ -317,6 +317,18 @@ def test_coupling_sweep_reproduces_golden_rows(tmp_path):
     assert csv_text.splitlines() == want
 
 
+def test_integer_and_float_lambdas_write_identical_csv(tmp_path):
+    # the sampling seed reads the validated (float) coupling, not the literal
+    texts = []
+    for lambdas in ([1, 4], [1.0, 4.0]):
+        doc = {"scenario": "hardware-minimal", "lambdas": lambdas, "seed": 11,
+               "output_dir": str(tmp_path / str(len(texts)))}
+        cfg = parse_config(json.dumps(doc))
+        assert [type(v) for v in cfg.echo()["lambdas"]] == [float, float]
+        texts.append(run_scenario(cfg)[1])
+    assert texts[0] == texts[1]
+
+
 def test_grid_keys_are_never_ignored(tmp_path):
     # every sweep key either adds its column or is rejected, whatever the preset
     doc = {
