@@ -36,10 +36,10 @@ def survival(psi_t: np.ndarray, psi0: np.ndarray) -> float:
 def transition_prob(
     psi_t: np.ndarray, targets: Iterable[FockState | int], layout: QubitLayout
 ) -> float:
-    """Total probability on the target basis states."""
+    """Total probability on the target basis states, given as FockStates or indices."""
     total = 0.0
     for target in targets:
-        index = target if isinstance(target, int) else layout.encode(target)
+        index = layout.encode(target) if isinstance(target, FockState) else target
         total += float(abs(psi_t[index]) ** 2)
     return total
 

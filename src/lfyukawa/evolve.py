@@ -18,7 +18,6 @@ import numpy as np
 from .fock import QubitLayout, enumerate_sector
 from .pauli import (
     COMPARE_TOL,
-    MATRIX_QUBIT_CAP,
     PauliString,
     PauliSum,
     _PHASES,
@@ -26,7 +25,6 @@ from .pauli import (
     _letters_to_masks,
     _term_phase,
     subspace_matrix,
-    to_matrix,
 )
 
 __all__ = [
@@ -44,6 +42,7 @@ __all__ = [
 
 SECTOR_DIM_CAP = 4096
 NORM_TOL = 1e-9  # largest norm drift a Trotter evolution may show
+SUPPORT_TOL = 1e-9  # largest probability exact_evolve's psi0 may carry outside its sector
 
 
 def _rotate(psi: np.ndarray, x: int, z: int, theta: float) -> np.ndarray:
@@ -74,56 +73,38 @@ def exp_pauli(term: PauliString, theta: float, psi: np.ndarray) -> np.ndarray:
 # -- exact evolution -------------------------------------------------------------
 
 
-def _eig_evolve(mat: np.ndarray, amp: np.ndarray, times: np.ndarray) -> np.ndarray:
+def exact_evolve(
+    h: PauliSum,
+    psi0: np.ndarray,
+    t: float | np.ndarray,
+    sector: tuple[int, int],
+    layout: QubitLayout,
+) -> np.ndarray:
+    """e^{-iHt} psi0 by dense eigendecomposition inside the charge sector (K, Q).
+
+    ``psi0`` is a register statevector supported on the sector.  The result
+    holds amplitudes on the basis ``enumerate_sector(layout.config, K, Q)``, in
+    that (encoded-index) order: shape (dim,) for a scalar t, (n_times, dim)
+    otherwise.
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    K0, Q0 = sector
+    states = enumerate_sector(layout.config, K0, Q0)
+    if len(states) > SECTOR_DIM_CAP:
+        raise ValueError(f"sector dimension {len(states)} exceeds cap {SECTOR_DIM_CAP}")
+    indices = np.array([layout.encode(s) for s in states], dtype=np.int64)
+    amp = psi0[indices]
+    outside = 1.0 - float(np.vdot(amp, amp).real) / float(np.vdot(psi0, psi0).real)
+    if outside > SUPPORT_TOL:
+        raise ValueError(f"psi0 carries probability {outside:.3e} outside sector (K={K0}, Q={Q0})")
+    mat = subspace_matrix(h, indices)
     herm_defect = np.max(np.abs(mat - mat.conj().T))
     if herm_defect > 1e-9 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     modes = v.conj().T @ amp
-    phases = np.exp(-1j * np.outer(times, w))
-    return (phases * modes) @ v.T  # (n_times, dim)
-
-
-def exact_evolve(
-    h: PauliSum,
-    psi0: np.ndarray,
-    t: float | np.ndarray,
-    sector: tuple[int, int] | None = None,
-    layout: QubitLayout | None = None,
-    support_tol: float = 1e-9,
-) -> np.ndarray:
-    """e^{-iHt} psi0 by dense eigendecomposition.
-
-    With ``sector=(K, Q)`` the Hamiltonian is restricted to that charge sector
-    (psi0 must be supported there); otherwise the full register is
-    diagonalized, which is only allowed on small registers.
-    """
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    if sector is not None:
-        if layout is None:
-            raise ValueError("sector evolution needs the register layout")
-        K0, Q0 = sector
-        states = enumerate_sector(layout.config, K0, Q0)
-        if len(states) > SECTOR_DIM_CAP:
-            raise ValueError(f"sector dimension {len(states)} exceeds cap {SECTOR_DIM_CAP}")
-        indices = np.array([layout.encode(s) for s in states], dtype=np.int64)
-        amp = psi0[indices]
-        outside = 1.0 - float(np.vdot(amp, amp).real) / float(np.vdot(psi0, psi0).real)
-        if outside > support_tol:
-            raise ValueError(f"psi0 carries probability {outside:.3e} outside sector (K={K0}, Q={Q0})")
-        mat = subspace_matrix(h, indices)
-        evolved = _eig_evolve(mat, amp, times)
-        out = np.zeros((len(times), psi0.size), dtype=complex)
-        out[:, indices] = evolved
-    else:
-        if h.n_qubits > MATRIX_QUBIT_CAP:
-            raise ValueError(
-                f"full-register exact evolution is capped at {MATRIX_QUBIT_CAP} qubits; "
-                "pass a sector"
-            )
-        out = _eig_evolve(to_matrix(h), psi0.astype(complex), times)
-    return out[0] if scalar else out
+    out = (np.exp(-1j * np.outer(times, w)) * modes) @ v.T
+    return out[0] if np.ndim(t) == 0 else out
 
 
 # -- Trotter plans ---------------------------------------------------------------

@@ -333,14 +333,15 @@ def parse_config(text: str) -> ScenarioConfig:
             "evolution",
             f"dt*n_steps = {product!r} inconsistent with t_max = {t_max!r}",
         )
-    if mode == "trotter" and n_steps is None:
+    if dt is not None:  # every run observes t_max itself
         ratio = t_max / dt
         _require(
             math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9,
             "evolution",
             "t_max must be a positive multiple of dt",
         )
-        n_steps = int(round(ratio))
+        if mode == "trotter" and n_steps is None:
+            n_steps = int(round(ratio))
     trotter_steps = _axis(merged, "trotter_steps", _count)
     _require(trotter_steps is None or mode == "trotter", "trotter_steps", "needs trotter evolution")
 
@@ -409,20 +410,21 @@ def _resolve_state(label: str, config: ModeConfig) -> FockState:
 
 
 class _Start:
-    """One initial state on one register, with its charge sector and transition targets."""
+    """One initial state: its encoded index, its sorted sector basis and the target indices."""
 
     def __init__(self, label: str, config: ModeConfig, layout: QubitLayout, content=None):
         self.label = label
-        self.state = _resolve_state(label, config)
-        self.K, self.Q = k_of(self.state), q_of(self.state)
+        state = _resolve_state(label, config)
+        self.K, self.Q = k_of(state), q_of(state)
+        self.index = layout.encode(state)
         sector = enumerate_sector(config, self.K, self.Q)
-        self.sector_dim = len(sector)
+        self.indices = np.array([layout.encode(s) for s in sector], dtype=np.int64)
         if content is None:
-            self.targets = [s for s in sector if s != self.state]
+            self.targets = self.indices[self.indices != self.index]
         else:  # the states with these (fermion, antifermion, boson) particle counts
             particles = [(sum(s.fermions), sum(s.antifermions), sum(s.bosons)) for s in sector]
-            self.targets = [s for s, n in zip(sector, particles) if n == tuple(content)]
-        self.psi0 = layout.basis_vector(self.state)
+            self.targets = self.indices[[n == tuple(content) for n in particles]]
+        self.psi0 = layout.basis_vector(self.index)
 
 
 def _probability_map(psi, layout, floor: float = 1e-12) -> dict[str, float]:
@@ -439,13 +441,21 @@ def _observation_times(cfg: ScenarioConfig) -> np.ndarray:
     return grid if cfg.mode == "exact" else grid[1:]
 
 
-def _sampled_fraction(psi, states, layout, shots: int, *seed_key) -> float:
-    """Fraction of the shots that read out one of the given basis states."""
+def _sampled_fraction(psi, indices, layout, shots: int, *seed_key) -> float:
+    """Fraction of the shots that read out one of the given basis indices."""
     text = json.dumps(list(seed_key), sort_keys=True)
     seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
     counts = sample_counts(psi, shots, seed)
     width = layout.total_qubits
-    return sum(counts.get(format(layout.encode(s), f"0{width}b"), 0) for s in states) / shots
+    return sum(counts.get(format(int(i), f"0{width}b"), 0) for i in indices) / shots
+
+
+def _exact_states(h, start: _Start, times, layout):
+    """The start's exactly evolved state at each time, in one reused register vector."""
+    psi = np.zeros_like(start.psi0)
+    for amp in exact_evolve(h, start.psi0, times, (start.K, start.Q), layout):
+        psi[start.indices] = amp
+        yield psi
 
 
 def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
@@ -458,10 +468,8 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
     """
     if cfg.mode == "exact":
         for k, s in enumerate(starts):
-            evolved = exact_evolve(h, s.psi0, times, sector=(s.K, s.Q), layout=layout)
-            for j in range(len(times)):
-                emit(k, j, evolved[j], {})
-            del evolved  # one times x register array at a time
+            for j, psi in enumerate(_exact_states(h, s, times, layout)):
+                emit(k, j, psi, {})
         return
     if cfg.trotter_steps is None:
         plans = [(make_plan(h, cfg.t_max, n_t, cfg.order), range(len(times)))]
@@ -503,8 +511,8 @@ def _run_grid(cfg: ScenarioConfig):
             exact = None  # exact transition per (start, time) next to a Trotter run
             if with_exact and cfg.mode == "trotter":
                 exact = [
-                    [transition_prob(psi, s.targets, layout) for psi in
-                     exact_evolve(h, s.psi0, times, sector=(s.K, s.Q), layout=layout)]
+                    [transition_prob(psi, s.targets, layout)
+                     for psi in _exact_states(h, s, times, layout)]
                     for s in starts
                 ]
             for n_t in cfg.trotter_steps or (cfg.n_steps,):
@@ -525,7 +533,7 @@ def _run_grid(cfg: ScenarioConfig):
                     if sampled:
                         if len(times) > 1:
                             key.append(float(times[j]))
-                        hits = [start.state] if sampled == "survival_sampled" else start.targets
+                        hits = [start.index] if sampled == "survival_sampled" else start.targets
                         meta[sampled] = _sampled_fraction(
                             psi, hits, layout, cfg.shots, cfg.seed, cfg.scenario, *key
                         )
@@ -539,7 +547,7 @@ def _run_grid(cfg: ScenarioConfig):
 
     extras = {}
     if len(registers) == 1 and len(starts) == 1:
-        extras = {"sector_dim": starts[0].sector_dim, "n_targets": len(starts[0].targets)}
+        extras = {"sector_dim": len(starts[0].indices), "n_targets": len(starts[0].targets)}
     return records, sweep_cols, extra_cols, hams, extras
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lfyukawa.diagnostics import (
@@ -23,6 +24,23 @@ def system():
     return config, layout, h, state0
 
 
+def _exact_on_register(h, psi0, t, layout):
+    """exact_evolve in the (K=2, Q=1) sector, scattered into a register statevector."""
+    psi = np.zeros_like(psi0)
+    indices = [layout.encode(s) for s in enumerate_sector(layout.config, 2, 1)]
+    psi[indices] = exact_evolve(h, psi0, t, sector=(2, 1), layout=layout)
+    return psi
+
+
+def test_transition_prob_takes_fock_states_and_indices(system):
+    _, layout, _, state0 = system
+    psi0 = layout.basis_vector(state0)
+    index = layout.encode(state0)
+    for targets in ([state0], [index], np.array([index]), np.array([index], dtype=np.int32)):
+        assert transition_prob(psi0, targets, layout) == pytest.approx(1.0)
+    assert transition_prob(psi0, np.array([index + 1]), layout) == 0.0
+
+
 def test_survival_at_time_zero(system):
     _, layout, _, state0 = system
     psi0 = layout.basis_vector(state0)
@@ -32,7 +50,7 @@ def test_survival_at_time_zero(system):
 def test_survival_plus_transitions_exhaust_probability(system):
     config, layout, h, state0 = system
     psi0 = layout.basis_vector(state0)
-    psi = exact_evolve(h, psi0, 0.13, sector=(2, 1), layout=layout)
+    psi = _exact_on_register(h, psi0, 0.13, layout)
     everything = [layout.decode(i) for i in range(1 << layout.total_qubits)]
     assert transition_prob(psi, everything, layout) == pytest.approx(1.0)
     others = [s for s in everything if s != state0]
@@ -42,7 +60,7 @@ def test_survival_plus_transitions_exhaust_probability(system):
 def test_two_level_transition_is_complement_of_survival(system):
     config, layout, h, state0 = system
     psi0 = layout.basis_vector(state0)
-    psi = exact_evolve(h, psi0, 0.095, sector=(2, 1), layout=layout)
+    psi = _exact_on_register(h, psi0, 0.095, layout)
     partner = [s for s in enumerate_sector(config, 2, 1) if s != state0]
     assert transition_prob(psi, partner, layout) == pytest.approx(
         1.0 - survival(psi, psi0), abs=1e-10
@@ -52,7 +70,7 @@ def test_two_level_transition_is_complement_of_survival(system):
 def test_leakage_zero_under_exact_evolution(system):
     _, layout, h, state0 = system
     psi0 = layout.basis_vector(state0)
-    psi = exact_evolve(h, psi0, 0.4, sector=(2, 1), layout=layout)
+    psi = _exact_on_register(h, psi0, 0.4, layout)
     leak_k, leak_q = leakage(psi, 2, 1, layout)
     assert leak_k < 1e-10 and leak_q < 1e-10
 
@@ -74,7 +92,7 @@ def test_expectation_charges_and_energy(system):
     trio = layout.basis_vector(FockState((0, 1, 0), (0, 1, 0), (0, 0, 0)))
     assert expectation(q_op, trio) == pytest.approx(0.0)
     e0 = expectation(h, psi0)
-    psi = exact_evolve(h, psi0, 0.2, sector=(2, 1), layout=layout)
+    psi = _exact_on_register(h, psi0, 0.2, layout)
     assert expectation(h, psi) == pytest.approx(e0, abs=1e-8)
 
 

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lfyukawa.diagnostics import leakage
@@ -15,13 +19,14 @@ from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector
 from lfyukawa.hamiltonian import ModelParams, build_h
 from lfyukawa.pauli import (
     PauliString,
+    PauliSum,
     _letters_to_masks,
     canonicalize,
     subspace_matrix,
     to_matrix,
 )
 
-from oracles import rabi_transition
+from oracles import FockOracle, rabi_transition
 
 
 @pytest.fixture(scope="module")
@@ -79,20 +84,64 @@ def test_exp_pauli_rejects_complex_coefficient():
 # -- exact evolution ----------------------------------------------------------------
 
 
+def _on_register(amp, indices, psi0):
+    """Scatter exact_evolve's sector amplitudes into a register statevector."""
+    psi = np.zeros_like(psi0)
+    psi[indices] = amp
+    return psi
+
+
 def test_exact_evolve_time_zero(two_level):
-    _, layout, h, _, psi0, _, _ = two_level
+    _, layout, h, _, psi0, _, indices = two_level
     out = exact_evolve(h, psi0, 0.0, sector=(2, 1), layout=layout)
-    assert np.allclose(out, psi0, atol=1e-12)
+    assert out.shape == (len(indices),)
+    assert np.allclose(out, psi0[indices], atol=1e-12)
 
 
-def test_exact_evolve_full_register_matches_sector():
-    config = ModeConfig.uniform(2, 3)
+@lru_cache(maxsize=None)
+def _small_sectors(n_modes: int) -> tuple[tuple[int, int], ...]:
+    """The non-empty charge sectors of at most 40 states at n_modes modes, 3 modals."""
+    config = ModeConfig.uniform(n_modes, 3)
+    return tuple(
+        (K, Q)
+        for K in range(config.max_k + 1)
+        for Q in range(-n_modes, n_modes + 1)
+        if 1 <= len(enumerate_sector(config, K, Q)) <= 40
+    )
+
+
+@lru_cache(maxsize=None)
+def _fock_oracle(n_modes: int) -> FockOracle:
+    return FockOracle(ModeConfig.uniform(n_modes, 3), 6.7, 1.0, 2048)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n_modes=st.sampled_from([2, 3]),
+    coupling=st.floats(0.0, 15.0),
+    times=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4),
+)
+def test_exact_evolve_matches_oracle_expm(data, n_modes, coupling, times):
+    config = ModeConfig.uniform(n_modes, 3)
     layout = QubitLayout(config)
-    h = build_h(config, ModelParams(coupling=4.0), layout)
-    psi0 = layout.basis_vector(FockState((0, 1), (0, 0), (0, 0)))
-    a = exact_evolve(h, psi0, 0.17, sector=(2, 1), layout=layout)
-    b = exact_evolve(h, psi0, 0.17)
-    assert np.allclose(a, b, atol=1e-9)
+    sector = data.draw(st.sampled_from(_small_sectors(n_modes)), label="sector")
+    states = enumerate_sector(config, *sector)
+    start = data.draw(st.integers(0, len(states) - 1), label="start")
+    h = build_h(config, ModelParams(coupling=coupling), layout)
+    got = exact_evolve(h, layout.basis_vector(states[start]), np.array(times), sector, layout)
+    assert got.shape == (len(times), len(states))
+    mat = _fock_oracle(n_modes).matrix(states, coupling, False)
+    for t, amp in zip(times, got):
+        want = expm(-1j * t * mat)[:, start]
+        assert np.max(np.abs(amp - want)) < 1e-9
+
+
+def test_exact_evolve_rejects_sector_leaving_hamiltonian(two_level):
+    _, layout, h, _, psi0, _, _ = two_level
+    flip = PauliSum.from_label("X" + "I" * (layout.total_qubits - 1), 0.3)
+    with pytest.raises(ValueError, match="leaves the subspace"):
+        exact_evolve(h + flip, psi0, 0.1, sector=(2, 1), layout=layout)
 
 
 def test_exact_evolve_matches_closed_form_rabi(two_level):
@@ -102,14 +151,14 @@ def test_exact_evolve_matches_closed_form_rabi(two_level):
     delta = (block[1, 1] - block[0, 0]).real
     times = np.linspace(0.0, 1.0, 101)
     evolved = exact_evolve(h, psi0, times, sector=(2, 1), layout=layout)
-    got = np.abs(evolved[:, indices[1]]) ** 2
+    got = np.abs(evolved[:, 1]) ** 2
     want = rabi_transition(v, delta, times)
     assert np.max(np.abs(got - want)) < 1e-8
 
 
 def test_exact_evolve_conserves_charges(two_level):
-    _, layout, h, _, psi0, _, _ = two_level
-    out = exact_evolve(h, psi0, 0.31, sector=(2, 1), layout=layout)
+    _, layout, h, _, psi0, _, indices = two_level
+    out = _on_register(exact_evolve(h, psi0, 0.31, sector=(2, 1), layout=layout), indices, psi0)
     leak_k, leak_q = leakage(out, 2, 1, layout)
     assert leak_k < 1e-10 and leak_q < 1e-10
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
@@ -148,11 +197,11 @@ def test_plan_angles_scale_with_coefficients(two_level):
 
 
 def test_trotter_exact_for_commuting_terms(two_level):
-    config, layout, _, _, psi0, _, _ = two_level
+    config, layout, _, _, psi0, _, indices = two_level
     free = build_h(config, ModelParams(coupling=0.0), layout)
     plan = make_plan(free, 0.7, 3, order=1)
     got = trotter_evolve(plan, psi0)
-    want = exact_evolve(free, psi0, 0.7, sector=(2, 1), layout=layout)
+    want = _on_register(exact_evolve(free, psi0, 0.7, sector=(2, 1), layout=layout), indices, psi0)
     assert np.max(np.abs(np.abs(got) ** 2 - np.abs(want) ** 2)) < 1e-12
 
 
@@ -169,7 +218,7 @@ def test_trotter_transition_converges_to_exact(two_level):
     _, layout, h, _, psi0, _, indices = two_level
     target = indices[1]
     exact = exact_evolve(h, psi0, 0.2, sector=(2, 1), layout=layout)
-    p_exact = abs(exact[target]) ** 2
+    p_exact = abs(exact[1]) ** 2
     deviations = []
     for n_steps in (2, 10, 50):
         psi = trotter_evolve(make_plan(h, 0.2, n_steps), psi0)
@@ -180,7 +229,7 @@ def test_trotter_transition_converges_to_exact(two_level):
 
 def test_order2_beats_order1(two_level):
     _, layout, h, _, psi0, _, indices = two_level
-    exact = exact_evolve(h, psi0, 0.2, sector=(2, 1), layout=layout)
+    exact = _on_register(exact_evolve(h, psi0, 0.2, sector=(2, 1), layout=layout), indices, psi0)
     errs = {}
     for order in (1, 2):
         psi = trotter_evolve(make_plan(h, 0.2, 10, order=order), psi0)

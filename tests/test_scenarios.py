@@ -67,6 +67,7 @@ def test_schema_errors_carry_field_paths():
         ('{"scenario": "nmax-study", "n_values": [0]}', "n_values"),
         ('{"scenario": "trotter-study", "trotter_steps": [0]}', "trotter_steps"),
         ('{"scenario": "rabi", "trotter_steps": [2, 3]}', "trotter_steps"),
+        ('{"scenario": "rabi", "evolution": {"t_max": 1.0, "dt": 0.3}}', "evolution"),
     ]
     for text, path in malformed:
         with pytest.raises(SchemaError, match=path):
