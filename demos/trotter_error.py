@@ -29,7 +29,7 @@ psi0 = layout.basis_vector(state0)
 indices = [layout.encode(s) for s in enumerate_sector(config, 2, 1)]
 
 t = 0.2
-exact = exact_evolve(h, psi0, t, sector=(2, 1), layout=layout)
+exact = exact_evolve(h, psi0[indices], t, sector=(2, 1), layout=layout)
 p_exact = abs(exact[1]) ** 2  # position 1 of the sector basis
 print(f"exact transition probability at t = {t}: {p_exact:.6f}")
 

@@ -40,7 +40,7 @@ print(f"two-level prediction: peak {v**2 / omega**2:.4f} at t = {np.pi / 2 / ome
 
 psi0 = layout.basis_vector(FockState((0, 1, 0), (0, 0, 0), (0, 0, 0)))
 times = np.arange(0.0, 1.0, 0.01)
-evolved = exact_evolve(h, psi0, times, sector=(2, 1), layout=layout)
+evolved = exact_evolve(h, psi0[indices], times, sector=(2, 1), layout=layout)
 transition = np.abs(evolved[:, 1]) ** 2
 closed = (v**2 / omega**2) * np.sin(omega * times) ** 2
 print(f"max |simulated - closed form| over the grid: {np.max(np.abs(transition - closed)):.2e}")

@@ -42,7 +42,6 @@ __all__ = [
 
 SECTOR_DIM_CAP = 4096
 NORM_TOL = 1e-9  # largest norm drift a Trotter evolution may show
-SUPPORT_TOL = 1e-9  # largest probability exact_evolve's psi0 may carry outside its sector
 
 
 def _rotate(psi: np.ndarray, x: int, z: int, theta: float) -> np.ndarray:
@@ -82,27 +81,23 @@ def exact_evolve(
 ) -> np.ndarray:
     """e^{-iHt} psi0 by dense eigendecomposition inside the charge sector (K, Q).
 
-    ``psi0`` is a register statevector supported on the sector.  The result
-    holds amplitudes on the basis ``enumerate_sector(layout.config, K, Q)``, in
-    that (encoded-index) order: shape (dim,) for a scalar t, (n_times, dim)
-    otherwise.
+    ``psi0`` and the result hold amplitudes on the basis
+    ``enumerate_sector(layout.config, K, Q)``, in that (encoded-index) order:
+    ``psi0`` has shape (dim,), the result (dim,) for a scalar t, (n_times, dim) otherwise.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    K0, Q0 = sector
-    states = enumerate_sector(layout.config, K0, Q0)
+    states = enumerate_sector(layout.config, *sector)
     if len(states) > SECTOR_DIM_CAP:
         raise ValueError(f"sector dimension {len(states)} exceeds cap {SECTOR_DIM_CAP}")
+    if np.shape(psi0) != (len(states),):
+        raise ValueError(f"psi0 has shape {np.shape(psi0)}, not ({len(states)},) of the sector")
     indices = np.array([layout.encode(s) for s in states], dtype=np.int64)
-    amp = psi0[indices]
-    outside = 1.0 - float(np.vdot(amp, amp).real) / float(np.vdot(psi0, psi0).real)
-    if outside > SUPPORT_TOL:
-        raise ValueError(f"psi0 carries probability {outside:.3e} outside sector (K={K0}, Q={Q0})")
     mat = subspace_matrix(h, indices)
     herm_defect = np.max(np.abs(mat - mat.conj().T))
     if herm_defect > 1e-9 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    modes = v.conj().T @ amp
+    modes = v.conj().T @ psi0
     out = (np.exp(-1j * np.outer(times, w)) * modes) @ v.T
     return out[0] if np.ndim(t) == 0 else out
 
@@ -210,7 +205,7 @@ def _compile_plan(plan: TrotterPlan) -> list:
             i = j
             continue
         union = x0
-        j = i
+        j = i + 1  # a string flipping more than _BLOCK_QUBIT_CAP qubits forms a block alone
         while j < len(rotations):
             x = rotations[j][0]
             if x == 0 or (union | x).bit_count() > _BLOCK_QUBIT_CAP:
@@ -359,17 +354,22 @@ def trotter_evolve(
     return psi
 
 
-def sample_counts(psi: np.ndarray, shots: int, seed: int) -> dict[str, int]:
-    """Multinomial readout histogram over basis bitstrings, reproducible per seed."""
+def sample_counts(psi, shots: int, seed: int, indices=None, n_qubits: int = 0) -> dict[str, int]:
+    """Multinomial readout histogram over basis bitstrings, reproducible per seed.
+
+    psi is a register statevector, or with ``indices`` the amplitudes on those increasing
+    basis indices of an ``n_qubits`` register, where zero probabilities would draw nothing.
+    """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    n = int(psi.size).bit_length() - 1
+    n = int(psi.size).bit_length() - 1 if indices is None else n_qubits
     probs = np.abs(psi) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
     hits = np.nonzero(counts)[0]
-    return {format(int(i), f"0{n}b"): int(counts[i]) for i in hits}
+    labels = hits if indices is None else np.asarray(indices)[hits]
+    return {format(int(i), f"0{n}b"): int(c) for i, c in zip(labels, counts[hits])}
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import EvolutionRecord, leakage, records_to_csv, survival, transition_prob
-from .evolve import NORM_TOL, exact_evolve, make_plan, sample_counts, trotter_evolve
+from .evolve import NORM_TOL, SECTOR_DIM_CAP, exact_evolve, make_plan, sample_counts, trotter_evolve
 from .fock import FockState, ModeConfig, QubitLayout, enumerate_sector, k_of, q_of
 from .hamiltonian import PARTS, ModelParams, build_h
 from .pauli import COMPARE_TOL, DEFAULT_TOL, dumps
@@ -119,6 +119,13 @@ _TOLERANCES = {"coeff_drop": DEFAULT_TOL, "canonical_compare": COMPARE_TOL, "nor
 # Upper bound on any mode count, so that no document allocates per-mode
 # tables it could never simulate.
 MAX_MODES = 64
+
+# Widest register: basis indices and Pauli masks are int64.
+MAX_QUBITS = 63
+
+# Peak bytes per register amplitude of a Trotter run: about 6.2 complex
+# statevectors of 16 bytes each (1675 MB measured at 24 qubits), rounded up.
+_TROTTER_BYTES_PER_AMP = 7 * 16
 
 # Sweep axes in column order: (configuration key, CSV column).
 _AXES = (
@@ -217,9 +224,9 @@ _KNOWN_KEYS = {
 _EVOLUTION_KEYS = {"mode", "t_max", "dt", "n_steps", "order"}
 
 
-def _require(cond: bool, path: str, message: str):
+def _require(cond: bool, path: str, message: str, error=SchemaError):
     if not cond:
-        raise SchemaError(f"{path}: {message}")
+        raise error(f"{path}: {message}")
 
 
 def _is_int(value) -> bool:
@@ -365,15 +372,39 @@ def parse_config(text: str) -> ScenarioConfig:
         initial_states=_axis(merged, "initial_states", _string),
         cross_species_string=field("cross_species_string", True, _boolean),
     )
-    # fail early on parameters or initial states that some register of the run cannot hold
+    # fail early, before anything is allocated, on registers too wide or too large to evolve,
+    # on exactly evolved sectors above the cap and on parameters or initial states that some
+    # register of the run cannot hold
+    register_key = "n_modes" if cfg.n_values is None else "n_values"
+    state_key = "initial_state" if cfg.initial_states is None else "initial_states"
+    exactly = mode == "exact" or "transition_exact" in PRESETS[scenario].get("extra_columns", ())
+    memory = _physical_memory()
     for _, config in cfg.registers():
+        qubits = QubitLayout(config).total_qubits
+        _require(qubits <= MAX_QUBITS, register_key,
+                 f"a {qubits}-qubit register exceeds the {MAX_QUBITS}-qubit limit", PhysicsError)
+        need = _TROTTER_BYTES_PER_AMP << qubits
+        _require(mode == "exact" or not memory or need <= memory, register_key,
+                 f"Trotter evolution of {qubits} qubits needs about {need / 1e9:.3g} GB, more "
+                 f"than the {memory / 1e9:.3g} GB of physical memory", PhysicsError)
         try:
             params.validate(config)
         except ValueError as err:
             raise PhysicsError(str(err)) from None
         for label in cfg.initial_states or (cfg.initial_state,):
-            _resolve_state(label, config)
+            state = _resolve_state(label, config)
+            dim = len(enumerate_sector(config, k_of(state), q_of(state))) if exactly else 0
+            message = f"sector dimension {dim} of {label!r} exceeds cap {SECTOR_DIM_CAP}"
+            _require(dim <= SECTOR_DIM_CAP, state_key, message, PhysicsError)
     return cfg
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 0
 
 
 # Named initial states: the occupied (fermion, antifermion, boson) modes, one quantum each.
@@ -410,7 +441,7 @@ def _resolve_state(label: str, config: ModeConfig) -> FockState:
 
 
 class _Start:
-    """One initial state: its encoded index, its sorted sector basis and the target indices."""
+    """One initial state: its sorted sector indices, its unit vector on them, target positions."""
 
     def __init__(self, label: str, config: ModeConfig, layout: QubitLayout, content=None):
         self.label = label
@@ -419,18 +450,20 @@ class _Start:
         self.index = layout.encode(state)
         sector = enumerate_sector(config, self.K, self.Q)
         self.indices = np.array([layout.encode(s) for s in sector], dtype=np.int64)
+        self.amp0 = (self.indices == self.index).astype(complex)
         if content is None:
-            self.targets = self.indices[self.indices != self.index]
+            self.targets = np.flatnonzero(self.indices != self.index)
         else:  # the states with these (fermion, antifermion, boson) particle counts
             particles = [(sum(s.fermions), sum(s.antifermions), sum(s.bosons)) for s in sector]
-            self.targets = self.indices[[n == tuple(content) for n in particles]]
-        self.psi0 = layout.basis_vector(self.index)
+            self.targets = np.flatnonzero([n == tuple(content) for n in particles])
 
 
-def _probability_map(psi, layout, floor: float = 1e-12) -> dict[str, float]:
+def _probability_map(psi, basis, layout, floor: float = 1e-12) -> dict[str, float]:
+    """Probabilities by bitstring of psi's amplitudes on basis (None: the whole register)."""
     probs = np.abs(psi) ** 2
     hits = np.nonzero(probs > floor)[0]
-    return {layout.format_bits(int(i)): float(probs[i]) for i in hits}
+    labels = hits if basis is None else basis[hits]
+    return {layout.format_bits(int(i)): float(probs[k]) for i, k in zip(labels, hits)}
 
 
 def _observation_times(cfg: ScenarioConfig) -> np.ndarray:
@@ -441,36 +474,30 @@ def _observation_times(cfg: ScenarioConfig) -> np.ndarray:
     return grid if cfg.mode == "exact" else grid[1:]
 
 
-def _sampled_fraction(psi, indices, layout, shots: int, *seed_key) -> float:
-    """Fraction of the shots that read out one of the given basis indices."""
+def _sampled_fraction(psi, basis, hits, layout, shots: int, *seed_key) -> float:
+    """Fraction of the shots that read out one of the basis indices in hits."""
     text = json.dumps(list(seed_key), sort_keys=True)
     seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
-    counts = sample_counts(psi, shots, seed)
     width = layout.total_qubits
-    return sum(counts.get(format(int(i), f"0{width}b"), 0) for i in indices) / shots
-
-
-def _exact_states(h, start: _Start, times, layout):
-    """The start's exactly evolved state at each time, in one reused register vector."""
-    psi = np.zeros_like(start.psi0)
-    for amp in exact_evolve(h, start.psi0, times, (start.K, start.Q), layout):
-        psi[start.indices] = amp
-        yield psi
+    counts = sample_counts(psi, shots, seed, basis, width)
+    return sum(counts.get(format(int(i), f"0{width}b"), 0) for i in hits) / shots
 
 
 def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
-    """Evolve every start under h; ``emit(k, j, psi, meta)`` sees start k at time times[j].
+    """Evolve every start under h; ``emit(k, j, amp, psi, meta)`` sees start k at times[j].
 
-    Exact runs diagonalize each start's sector once for all times.  Trotter
-    runs share one plan of n_t steps over t_max between the starts and observe
-    its last len(times) steps; with ``trotter_steps`` each time gets its own
-    plan of n_t steps, observed at its end.
+    amp is on the start's sector basis and psi the register vector (None in exact runs,
+    which diagonalize each sector once for all times).  Trotter runs share one plan of
+    n_t steps over t_max between the starts and observe its last len(times) steps;
+    with ``trotter_steps`` each time gets its own plan of n_t steps, observed at its end.
     """
     if cfg.mode == "exact":
         for k, s in enumerate(starts):
-            for j, psi in enumerate(_exact_states(h, s, times, layout)):
-                emit(k, j, psi, {})
+            for j, amp in enumerate(exact_evolve(h, s.amp0, times, (s.K, s.Q), layout)):
+                emit(k, j, amp, None, {})
         return
+    # built before the plans: allocated after plan compilation they add a vector to peak RSS
+    psi0s = [layout.basis_vector(s.index) for s in starts]
     if cfg.trotter_steps is None:
         plans = [(make_plan(h, cfg.t_max, n_t, cfg.order), range(len(times)))]
     else:
@@ -480,11 +507,11 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
         meta = {"plan_order": plan.order, "plan_steps": plan.n_steps}
         for k, s in enumerate(starts):
 
-            def observer(step, psi, k=k):
+            def observer(step, psi, k=k, s=s):
                 if step > first:
-                    emit(k, observed[step - first - 1], psi, dict(meta))
+                    emit(k, observed[step - first - 1], psi[s.indices], psi, dict(meta))
 
-            trotter_evolve(plan, s.psi0, observer=observer)
+            trotter_evolve(plan, psi0s[k], observer=observer)
 
 
 def _run_grid(cfg: ScenarioConfig):
@@ -511,34 +538,37 @@ def _run_grid(cfg: ScenarioConfig):
             exact = None  # exact transition per (start, time) next to a Trotter run
             if with_exact and cfg.mode == "trotter":
                 exact = [
-                    [transition_prob(psi, s.targets, layout)
-                     for psi in _exact_states(h, s, times, layout)]
+                    [transition_prob(amp, s.targets, layout)
+                     for amp in exact_evolve(h, s.amp0, times, (s.K, s.Q), layout)]
                     for s in starts
                 ]
             for n_t in cfg.trotter_steps or (cfg.n_steps,):
                 rows = [[] for _ in starts]
 
-                def emit(k, j, psi, meta):
+                def emit(k, j, amp, psi, meta):
                     start = starts[k]
                     cell = {"n_max": n_max, "lambda": lam, "n_trotter": n_t, "state": start.label}
                     key = [cell[c] for c in sweep_cols]
                     meta.update(zip(sweep_cols, key))
-                    leak_k, leak_q = leakage(psi, start.K, start.Q, layout)
+                    leak = (0.0, 0.0) if psi is None else leakage(psi, start.K, start.Q, layout)
+                    readout = (amp, start.indices) if psi is None else (psi, None)
                     rec = EvolutionRecord(
-                        float(times[j]), survival(psi, start.psi0),
-                        transition_prob(psi, start.targets, layout), leak_k, leak_q, metadata=meta,
+                        float(times[j]), survival(amp, start.amp0),
+                        transition_prob(amp, start.targets, layout), *leak, metadata=meta,
                     )
                     if with_exact:
                         meta["transition_exact"] = rec.transition if exact is None else exact[k][j]
                     if sampled:
                         if len(times) > 1:
                             key.append(float(times[j]))
-                        hits = [start.index] if sampled == "survival_sampled" else start.targets
+                        hits = [start.index]
+                        if sampled == "transition_sampled":
+                            hits = start.indices[start.targets]
                         meta[sampled] = _sampled_fraction(
-                            psi, hits, layout, cfg.shots, cfg.seed, cfg.scenario, *key
+                            *readout, hits, layout, cfg.shots, cfg.seed, cfg.scenario, *key
                         )
                     if preset.get("probabilities"):
-                        rec.probabilities = _probability_map(psi, layout)
+                        rec.probabilities = _probability_map(*readout, layout)
                     rows[k].append(rec)
 
                 _evolve(cfg, h, starts, layout, times, n_t, emit)

@@ -53,11 +53,10 @@ def criterion(number: int, label: str):
 
 
 def _exact_on_register(h, psi0, t, sector, layout):
-    """exact_evolve's sector amplitudes scattered into a register statevector."""
+    """exact_evolve from psi0's sector amplitudes, scattered into a register statevector."""
+    indices = [layout.encode(s) for s in enumerate_sector(layout.config, *sector)]
     psi = np.zeros_like(psi0)
-    psi[[layout.encode(s) for s in enumerate_sector(layout.config, *sector)]] = exact_evolve(
-        h, psi0, t, sector=sector, layout=layout
-    )
+    psi[indices] = exact_evolve(h, psi0[indices], t, sector=sector, layout=layout)
     return psi
 
 
@@ -205,7 +204,7 @@ def fig2_system():
     states = enumerate_sector(config, 2, 1)
     indices = [layout.encode(s) for s in states]
     times = np.round(np.arange(0.0, 1.0 + 0.005, 0.01), 12)
-    evolved = exact_evolve(h, psi0, times, sector=(2, 1), layout=layout)
+    evolved = exact_evolve(h, psi0[indices], times, sector=(2, 1), layout=layout)
     return layout, h, indices, times, evolved
 
 
@@ -243,7 +242,7 @@ def trotter_sweep(fig2_system):
     layout, h, indices, _, _ = fig2_system
     psi0 = np.zeros(1 << layout.total_qubits, dtype=complex)
     psi0[indices[0]] = 1.0
-    exact = exact_evolve(h, psi0, 0.2, sector=(2, 1), layout=layout)
+    exact = exact_evolve(h, psi0[indices], 0.2, sector=(2, 1), layout=layout)
     p_exact = abs(exact[1]) ** 2
     results = {}
     for n_steps in range(1, 11):

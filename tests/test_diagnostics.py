@@ -28,7 +28,7 @@ def _exact_on_register(h, psi0, t, layout):
     """exact_evolve in the (K=2, Q=1) sector, scattered into a register statevector."""
     psi = np.zeros_like(psi0)
     indices = [layout.encode(s) for s in enumerate_sector(layout.config, 2, 1)]
-    psi[indices] = exact_evolve(h, psi0, t, sector=(2, 1), layout=layout)
+    psi[indices] = exact_evolve(h, psi0[indices], t, sector=(2, 1), layout=layout)
     return psi
 
 

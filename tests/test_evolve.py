@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from lfyukawa.diagnostics import leakage
 from lfyukawa.evolve import (
+    _compile_plan,
     exact_evolve,
     exp_pauli,
     make_plan,
@@ -93,7 +94,7 @@ def _on_register(amp, indices, psi0):
 
 def test_exact_evolve_time_zero(two_level):
     _, layout, h, _, psi0, _, indices = two_level
-    out = exact_evolve(h, psi0, 0.0, sector=(2, 1), layout=layout)
+    out = exact_evolve(h, psi0[indices], 0.0, sector=(2, 1), layout=layout)
     assert out.shape == (len(indices),)
     assert np.allclose(out, psi0[indices], atol=1e-12)
 
@@ -129,7 +130,7 @@ def test_exact_evolve_matches_oracle_expm(data, n_modes, coupling, times):
     states = enumerate_sector(config, *sector)
     start = data.draw(st.integers(0, len(states) - 1), label="start")
     h = build_h(config, ModelParams(coupling=coupling), layout)
-    got = exact_evolve(h, layout.basis_vector(states[start]), np.array(times), sector, layout)
+    got = exact_evolve(h, np.eye(len(states))[start], np.array(times), sector, layout)
     assert got.shape == (len(times), len(states))
     mat = _fock_oracle(n_modes).matrix(states, coupling, False)
     for t, amp in zip(times, got):
@@ -138,10 +139,10 @@ def test_exact_evolve_matches_oracle_expm(data, n_modes, coupling, times):
 
 
 def test_exact_evolve_rejects_sector_leaving_hamiltonian(two_level):
-    _, layout, h, _, psi0, _, _ = two_level
+    _, layout, h, _, psi0, _, indices = two_level
     flip = PauliSum.from_label("X" + "I" * (layout.total_qubits - 1), 0.3)
     with pytest.raises(ValueError, match="leaves the subspace"):
-        exact_evolve(h + flip, psi0, 0.1, sector=(2, 1), layout=layout)
+        exact_evolve(h + flip, psi0[indices], 0.1, sector=(2, 1), layout=layout)
 
 
 def test_exact_evolve_matches_closed_form_rabi(two_level):
@@ -150,7 +151,7 @@ def test_exact_evolve_matches_closed_form_rabi(two_level):
     v = block[0, 1].real
     delta = (block[1, 1] - block[0, 0]).real
     times = np.linspace(0.0, 1.0, 101)
-    evolved = exact_evolve(h, psi0, times, sector=(2, 1), layout=layout)
+    evolved = exact_evolve(h, psi0[indices], times, sector=(2, 1), layout=layout)
     got = np.abs(evolved[:, 1]) ** 2
     want = rabi_transition(v, delta, times)
     assert np.max(np.abs(got - want)) < 1e-8
@@ -158,17 +159,18 @@ def test_exact_evolve_matches_closed_form_rabi(two_level):
 
 def test_exact_evolve_conserves_charges(two_level):
     _, layout, h, _, psi0, _, indices = two_level
-    out = _on_register(exact_evolve(h, psi0, 0.31, sector=(2, 1), layout=layout), indices, psi0)
+    out = _on_register(exact_evolve(h, psi0[indices], 0.31, (2, 1), layout), indices, psi0)
     leak_k, leak_q = leakage(out, 2, 1, layout)
     assert leak_k < 1e-10 and leak_q < 1e-10
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_exact_evolve_rejects_outside_support(two_level):
-    _, layout, h, _, _, _, _ = two_level
-    psi_bad = layout.basis_vector(FockState((1, 0, 0), (0, 0, 0), (0, 0, 0)))
-    with pytest.raises(ValueError):
-        exact_evolve(h, psi_bad, 0.1, sector=(2, 1), layout=layout)
+def test_exact_evolve_rejects_wrong_shape(two_level):
+    # psi0 lives on the sector basis: a register vector or a wrong-length one is refused
+    _, layout, h, _, psi0, _, indices = two_level
+    for bad in (psi0, psi0[indices][:1], psi0[indices][None, :]):
+        with pytest.raises(ValueError, match="shape"):
+            exact_evolve(h, bad, 0.1, sector=(2, 1), layout=layout)
 
 
 # -- Trotter plans ------------------------------------------------------------------
@@ -201,7 +203,7 @@ def test_trotter_exact_for_commuting_terms(two_level):
     free = build_h(config, ModelParams(coupling=0.0), layout)
     plan = make_plan(free, 0.7, 3, order=1)
     got = trotter_evolve(plan, psi0)
-    want = _on_register(exact_evolve(free, psi0, 0.7, sector=(2, 1), layout=layout), indices, psi0)
+    want = _on_register(exact_evolve(free, psi0[indices], 0.7, (2, 1), layout), indices, psi0)
     assert np.max(np.abs(np.abs(got) ** 2 - np.abs(want) ** 2)) < 1e-12
 
 
@@ -214,10 +216,76 @@ def test_blocked_equals_sequential(two_level):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def _random_real_sum(draw, n: int, max_flips: int, min_zs: int, max_zs: int) -> PauliSum:
+    """A real-coefficient (Hermitian) sum: up to max_flips flip patterns (the diagonal one
+    among them), each with min_zs to max_zs z masks."""
+    masks = st.integers(0, (1 << n) - 1)
+    flips = st.lists(st.just(0) | masks, min_size=1, max_size=max_flips, unique=True)
+    zs = st.lists(masks, min_size=min(min_zs, 1 << n), max_size=max_zs, unique=True)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = {}
+    for x in draw(flips, label="flips"):
+        for z in draw(zs, label="zs"):
+            terms[x, z] = complex(draw(coeffs, label="coeff"))
+    return PauliSum(n, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 11),
+    shape=st.sampled_from([(3, 12, 24), (8, 1, 4)]),
+    n_steps=st.integers(1, 3),
+    order=st.sampled_from([1, 2]),
+    t=st.floats(0.01, 1.0),
+)
+def test_blocked_equals_sequential_on_random_sums(data, n, shape, n_steps, order, t):
+    # few flip patterns with many z masks leave more than _SIG_MASK_CAP parity masks
+    # outside a block's support, so the per-rotation "rots" fallback runs as well
+    h = _random_real_sum(data.draw, n, *shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="psi seed"))
+    psi0 = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    psi0 /= np.linalg.norm(psi0)
+    plan = make_plan(h, t, n_steps, order=order)
+    a = trotter_evolve(plan, psi0, method="sequential")
+    b = trotter_evolve(plan, psi0, method="blocked")
+    assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_blocked_compiles_both_segment_kinds():
+    # flips on qubits 0-4, eight z masks with distinct parities on qubits 5-8: a "rots"
+    # segment; flips on qubits 4-8 overflow the 8-qubit block and start a dense "blk" one
+    n = 9
+    terms = {(0b111110000, 0b100000000 | k): 0.1 * k for k in range(1, 9)}
+    terms[0b000011111, 0b100000000] = 0.7
+    terms[0, 0b000000011] = 0.3
+    h = PauliSum(n, {k: complex(c) for k, c in terms.items()})
+    for order in (1, 2):
+        plan = make_plan(h, 0.4, 2, order=order)
+        kinds = [segment[0] for segment in _compile_plan(plan)]
+        assert {"blk", "rots"} <= set(kinds)
+        psi0 = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+        a = trotter_evolve(plan, psi0, method="sequential")
+        b = trotter_evolve(plan, psi0, method="blocked")
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_blocked_handles_a_string_wider_than_a_block():
+    # a string flipping more than _BLOCK_QUBIT_CAP = 8 qubits forms a segment of its own
+    n = 9
+    h = PauliSum(n, {((1 << n) - 1, 0b1): 0.3 + 0j, (0b11, 0): 0.2 + 0j, (0, 0b101): 0.1 + 0j})
+    psi0 = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+    for order in (1, 2):
+        plan = make_plan(h, 0.5, 2, order=order)
+        a = trotter_evolve(plan, psi0, method="sequential")
+        b = trotter_evolve(plan, psi0, method="blocked")
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
 def test_trotter_transition_converges_to_exact(two_level):
     _, layout, h, _, psi0, _, indices = two_level
     target = indices[1]
-    exact = exact_evolve(h, psi0, 0.2, sector=(2, 1), layout=layout)
+    exact = exact_evolve(h, psi0[indices], 0.2, sector=(2, 1), layout=layout)
     p_exact = abs(exact[1]) ** 2
     deviations = []
     for n_steps in (2, 10, 50):
@@ -229,7 +297,7 @@ def test_trotter_transition_converges_to_exact(two_level):
 
 def test_order2_beats_order1(two_level):
     _, layout, h, _, psi0, _, indices = two_level
-    exact = _on_register(exact_evolve(h, psi0, 0.2, sector=(2, 1), layout=layout), indices, psi0)
+    exact = _on_register(exact_evolve(h, psi0[indices], 0.2, (2, 1), layout), indices, psi0)
     errs = {}
     for order in (1, 2):
         psi = trotter_evolve(make_plan(h, 0.2, 10, order=order), psi0)

@@ -2,17 +2,24 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfyukawa import diagnostics, fock, scenarios
 from lfyukawa.cli import main
-from lfyukawa.evolve import NORM_TOL
+from lfyukawa.evolve import NORM_TOL, exact_evolve, sample_counts
+from lfyukawa.fock import ModeConfig, QubitLayout
+from lfyukawa.hamiltonian import ModelParams, build_h
 from lfyukawa.pauli import COMPARE_TOL, DEFAULT_TOL
 from lfyukawa.scenarios import (
     _EVOLUTION_KEYS,
     _KNOWN_KEYS,
     PRESETS,
+    _probability_map,
+    _sampled_fraction,
+    _Start,
     ConfigError,
     PhysicsError,
     ScenarioConfig,
@@ -393,3 +400,93 @@ def test_trotter_steps_sweep_over_states(tmp_path):
             assert by_key[(n, "f2", t)].survival == pytest.approx(
                 by_key[(n, "fbar2", t)].survival, abs=1e-12
             )
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached code that allocates a register-sized array")
+
+
+def _run_cli(tmp_path, doc) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return main(["run", str(path)])
+
+
+def test_register_guards_exit_2_before_allocation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(QubitLayout, "basis_vector", _refuse)
+    refused = [
+        ({"scenario": "rabi", "n_modes": 16}, "n_modes: a 64-qubit register"),
+        (
+            {"scenario": "rabi", "n_modes": 10, "evolution": {"mode": "trotter", "dt": 0.1}},
+            "n_modes: Trotter evolution of 40 qubits",
+        ),
+        ({"scenario": "nmax-study", "n_values": [4, 10]}, "n_values: Trotter evolution of 40"),
+    ]
+    for doc, message in refused:
+        assert _run_cli(tmp_path, doc) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    # the same 40-qubit register evolves exactly in its sector
+    assert parse_config('{"scenario": "rabi", "n_modes": 10}').mode == "exact"
+
+
+def test_sector_cap_exits_2_before_build_h(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenarios, "build_h", _refuse)
+    doc = {"scenario": "rabi", "n_modes": 6, "initial_state": "000001 000001 00 00 00 00 00 10"}
+    assert _run_cli(tmp_path, doc) == 2  # K = 24, Q = 0: 9,994 states
+    assert "initial_state: sector dimension 9994" in capsys.readouterr().err
+    # Trotter-only runs enumerate no sector while parsing
+    monkeypatch.setattr(scenarios, "enumerate_sector", _refuse)
+    parse_config('{"scenario": "coupling-sweep"}')
+
+
+def test_exact_runs_build_no_register_vector(tmp_path, monkeypatch):
+    for owner in (fock, diagnostics):
+        monkeypatch.setattr(owner, "charge_tables", _refuse)
+    monkeypatch.setattr(QubitLayout, "basis_vector", _refuse)
+    monkeypatch.setattr(scenarios, "leakage", _refuse)
+    docs = [
+        {"scenario": "rabi", "shots": 512, "evolution": {"t_max": 0.1, "dt": 0.05}},
+        {
+            "scenario": "hardware-minimal",
+            "evolution": {"mode": "exact", "t_max": 0.2, "dt": 0.05, "n_steps": 4},
+        },
+        {  # 32 qubits: one register vector would take 64 GiB
+            "scenario": "rabi",
+            "n_modes": 8,
+            "coupling": 13.315,
+            "initial_state": "f4f5",
+            "evolution": {"mode": "exact", "t_max": 0.01, "dt": 0.005},
+        },
+    ]
+    results = []
+    for k, doc in enumerate(docs):
+        doc["output_dir"] = str(tmp_path / str(k))
+        results.append(run_scenario(parse_config(json.dumps(doc))))
+    assert "survival_sampled" in results[0][1].splitlines()[0]
+    assert "probabilities" in results[1][3]
+    records, _, manifest, _ = results[2]
+    assert manifest["qubits"] == 32 and manifest["sector_dim"] == 50
+    assert all(r.leak_k == r.leak_q == 0.0 for r in records)
+
+
+def test_sector_readout_equals_register_readout():
+    # numpy's multinomial draws nothing for a zero-probability category, so sampling the
+    # sector amplitudes gives the counts of the register vector that is zero off the sector
+    config = ModeConfig.uniform(3, 3)
+    layout = QubitLayout(config)
+    h = build_h(config, ModelParams(coupling=4.0), layout)
+    for label in ("f2", "f2-fbar2-phi2"):
+        start = _Start(label, config, layout)
+        sector = (start.K, start.Q)
+        for amp in exact_evolve(h, start.amp0, np.array([0.05, 0.2, 0.37, 0.9]), sector, layout):
+            psi = np.zeros(1 << layout.total_qubits, dtype=complex)
+            psi[start.indices] = amp
+            want = _probability_map(psi, None, layout)
+            assert _probability_map(amp, start.indices, layout) == want
+            for seed in range(20):
+                want = sample_counts(psi, 1000, seed)
+                assert sample_counts(amp, 1000, seed, start.indices, layout.total_qubits) == want
+                for hits in ([start.index], start.indices[start.targets]):
+                    assert _sampled_fraction(amp, start.indices, hits, layout, 1000, seed) == (
+                        _sampled_fraction(psi, None, hits, layout, 1000, seed)
+                    )
