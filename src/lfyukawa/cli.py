@@ -74,6 +74,13 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lfyukawa",
@@ -91,7 +98,7 @@ def main(argv=None) -> int:
 
     p_sector = sub.add_parser("sector", help="list the basis states of a charge sector")
     p_sector.add_argument("config", help="path to the JSON configuration document")
-    p_sector.add_argument("--K", type=int, required=True, help="harmonic resolution")
+    p_sector.add_argument("--K", type=_non_negative, required=True, help="harmonic resolution")
     p_sector.add_argument("--Q", type=int, required=True, help="baryon number")
     p_sector.set_defaults(func=_cmd_sector)
 

@@ -9,9 +9,9 @@ which keeps 20-qubit runs tractable without changing the operator product.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,18 +122,12 @@ class TrotterPlan:
     n_qubits: int
     order: int
     n_steps: int
-    total_time: float
     rotations: tuple[tuple[int, int, float], ...]
     step_phase: complex
-    term_order: str = "diagonal-first, then flip-pattern-grouped lexicographic"
-    _compiled: list | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def term_order_hash(self) -> str:
-        text = f"{self.order} {self.n_steps} {self.total_time:.17g}\n" + "\n".join(
-            f"{x:x} {z:x} {angle:.17g}" for x, z, angle in self.rotations
-        )
-        return hashlib.sha256(text.encode()).hexdigest()
+    @cached_property
+    def _compiled(self) -> list:
+        return _compile_plan(self)
 
 
 def make_plan(h: PauliSum, t: float, n_steps: int, order: int = 1) -> TrotterPlan:
@@ -167,7 +161,6 @@ def make_plan(h: PauliSum, t: float, n_steps: int, order: int = 1) -> TrotterPla
         n_qubits=n,
         order=order,
         n_steps=n_steps,
-        total_time=t,
         rotations=step,
         step_phase=complex(np.exp(-1j * identity_coeff * dt)),
     )
@@ -338,8 +331,6 @@ def trotter_evolve(
             if observer is not None:
                 observer(step + 1, psi)
     elif method == "blocked":
-        if plan._compiled is None:
-            plan._compiled = _compile_plan(plan)
         for step in range(plan.n_steps):
             for segment in plan._compiled:
                 _apply_segment(segment, psi, plan.n_qubits)
@@ -358,17 +349,22 @@ def sample_counts(psi, shots: int, seed: int, indices=None, n_qubits: int = 0) -
     """Multinomial readout histogram over basis bitstrings, reproducible per seed.
 
     psi is a register statevector, or with ``indices`` the amplitudes on those increasing
-    basis indices of an ``n_qubits`` register, where zero probabilities would draw nothing.
+    basis indices of an ``n_qubits`` register (ValueError if an index is wider), where
+    zero probabilities would draw nothing.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     n = int(psi.size).bit_length() - 1 if indices is None else n_qubits
+    if indices is not None:
+        indices = np.asarray(indices)
+        if int(indices.max(initial=0)).bit_length() > n:
+            raise ValueError(f"basis index {int(indices.max())} does not fit in {n} qubits")
     probs = np.abs(psi) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
     hits = np.nonzero(counts)[0]
-    labels = hits if indices is None else np.asarray(indices)[hits]
+    labels = hits if indices is None else indices[hits]
     return {format(int(i), f"0{n}b"): int(c) for i, c in zip(labels, counts[hits])}
 
 

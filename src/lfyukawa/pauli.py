@@ -162,9 +162,6 @@ class PauliSum:
         keys = set(self._terms) | set(other._terms)
         return all(abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol for k in keys)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
-
     def is_hermitian(self, tol: float = COMPARE_TOL) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
@@ -196,9 +193,6 @@ class PauliSum:
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         return product(self, other)
-
-    def dagger(self) -> "PauliSum":
-        return adjoint(self)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -298,15 +292,13 @@ def to_matrix(op: PauliSum) -> np.ndarray:
     return mat
 
 
-def subspace_matrix(
-    op: PauliSum, indices: Iterable[int], tol: float = 1e-9, check_leak: bool = True
-) -> np.ndarray:
+def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> np.ndarray:
     """Matrix of the sum restricted to the span of the given basis indices.
 
-    Each flip group fills its elements in one step.  With ``check_leak`` the
-    call raises if an out-of-span element (it belongs to one group) exceeds
-    tol, which validates the sector restriction of a conserving Hamiltonian;
-    disable it when conservation has been established separately.
+    Each flip group fills its elements in one step.  The call raises if an
+    out-of-span element (it belongs to one group) exceeds tol, which validates
+    the sector restriction of a conserving Hamiltonian; ``tol=np.inf`` returns
+    the restricted entries of an operator that leaves the span.
     """
     arr = np.fromiter(indices, dtype=np.int64)
     dim = arr.size
@@ -322,7 +314,7 @@ def subspace_matrix(
         pos = np.minimum(np.searchsorted(sorted_arr, targets), dim - 1)
         hit = sorted_arr[pos] == targets
         mat[order[pos[hit]], cols[hit]] = vals[hit]
-        if check_leak and not hit.all():
+        if not hit.all():
             worst = max(worst, float(np.abs(vals[~hit]).max()))
     if worst > tol:
         raise ValueError(f"operator leaves the subspace (matrix element {worst:.3e})")
@@ -332,48 +324,32 @@ def subspace_matrix(
 # -- single-qubit building blocks (Pauli-matrix combinations) -------------------
 
 
+def _half_pair(n_qubits: int, qubit: int, flip: bool, sign: float, string: int = 0) -> PauliSum:
+    """(X + sign*iY)/2 at the qubit if flip, else (I + sign*Z)/2, times the Z mask string."""
+    bit = 1 << (n_qubits - 1 - qubit)
+    x = bit if flip else 0
+    second = complex(0.0, 0.5 * sign) if flip else complex(0.5 * sign, 0.0)
+    return PauliSum(n_qubits, {(x, string): complex(0.5, 0.0), (x, string | bit): second})
+
+
 def sigma_plus(n_qubits: int, qubit: int) -> PauliSum:
     """(X + iY)/2 = |0><1| at the qubit."""
-    return canonicalize(
-        [
-            PauliString(0.5, _one_letter(n_qubits, qubit, "X")),
-            PauliString(0.5j, _one_letter(n_qubits, qubit, "Y")),
-        ]
-    )
+    return _half_pair(n_qubits, qubit, True, 1.0)
 
 
 def sigma_minus(n_qubits: int, qubit: int) -> PauliSum:
     """(X - iY)/2 = |1><0| at the qubit."""
-    return canonicalize(
-        [
-            PauliString(0.5, _one_letter(n_qubits, qubit, "X")),
-            PauliString(-0.5j, _one_letter(n_qubits, qubit, "Y")),
-        ]
-    )
+    return _half_pair(n_qubits, qubit, True, -1.0)
 
 
 def proj0(n_qubits: int, qubit: int) -> PauliSum:
     """(I + Z)/2 = |0><0| at the qubit."""
-    return canonicalize(
-        [
-            PauliString(0.5, "I" * n_qubits),
-            PauliString(0.5, _one_letter(n_qubits, qubit, "Z")),
-        ]
-    )
+    return _half_pair(n_qubits, qubit, False, 1.0)
 
 
 def proj1(n_qubits: int, qubit: int) -> PauliSum:
     """(I - Z)/2 = |1><1| at the qubit."""
-    return canonicalize(
-        [
-            PauliString(0.5, "I" * n_qubits),
-            PauliString(-0.5, _one_letter(n_qubits, qubit, "Z")),
-        ]
-    )
-
-
-def _one_letter(n_qubits: int, qubit: int, letter: str) -> str:
-    return "I" * qubit + letter + "I" * (n_qubits - qubit - 1)
+    return _half_pair(n_qubits, qubit, False, -1.0)
 
 
 # -- species ladder operators ---------------------------------------------------
@@ -403,17 +379,9 @@ def fermion_ladder(
         string_start = 0 if cross_species_string else layout.config.n_fermion_modes
     else:
         raise ValueError(f"unknown species {species!r}")
-    prefix = ["I"] * n
-    for j in range(string_start, q):
-        prefix[j] = "Z"
-    x_letters = list(prefix)
-    x_letters[q] = "X"
-    y_letters = list(prefix)
-    y_letters[q] = "Y"
-    y_coeff = -0.5j if dagger else 0.5j
-    return canonicalize(
-        [PauliString(0.5, "".join(x_letters)), PauliString(y_coeff, "".join(y_letters))]
-    )
+    # qubits string_start .. q-1 are bits n-1-string_start down to n-q
+    string = (1 << (n - string_start)) - (1 << (n - q))
+    return _half_pair(n, q, True, -1.0 if dagger else 1.0, string)
 
 
 def boson_occupancy_raisers(modals: int) -> list[tuple[float, tuple[str, ...]]]:

@@ -146,11 +146,10 @@ def test_c03_dual_construction_every_small_sector():
                     if not states or len(states) > 200:
                         continue
                     indices = [layout.encode(s) for s in states]
-                    # off-sector cancellation is criterion 4's commutator check
-                    p_mass = subspace_matrix(hm, indices, check_leak=False)
-                    p_inertia = subspace_matrix(hin, indices, check_leak=False)
-                    p_vertex = subspace_matrix(hv, indices, check_leak=False)
-                    p_quartic = subspace_matrix(hq, indices, check_leak=False)
+                    p_mass = subspace_matrix(hm, indices)
+                    p_inertia = subspace_matrix(hin, indices)
+                    p_vertex = subspace_matrix(hv, indices)
+                    p_quartic = subspace_matrix(hq, indices)
                     o_mass, o_inertia, o_vertex, o_quartic = oracle.components(states)
                     for lam in couplings:
                         g = lam / math.sqrt(4.0 * math.pi)
@@ -304,6 +303,7 @@ def coupling_sweep_states():
     return layout, out
 
 
+@pytest.mark.slow
 def test_c07_angel_state_survives(coupling_sweep_states):
     with criterion(7, "single mode-2 boson survives with probability 1 for all couplings"):
         _, sweep = coupling_sweep_states
@@ -311,6 +311,7 @@ def test_c07_angel_state_survives(coupling_sweep_states):
             assert per_state["phi2"][0] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.slow
 def test_c07_fermion_antifermion_symmetry(coupling_sweep_states):
     with criterion(7, "fermion and antifermion survival curves coincide"):
         layout, sweep = coupling_sweep_states
@@ -330,6 +331,7 @@ def test_c07_fermion_antifermion_symmetry(coupling_sweep_states):
             assert abs(samples["f2"] - samples["fbar2"]) <= 2.0 * sigma + 1e-12
 
 
+@pytest.mark.slow
 def test_c07_survival_decreases_from_weak_to_moderate_coupling(coupling_sweep_states):
     with criterion(7, "survival(lambda=1) > survival(lambda=3) for the mode-2 fermion"):
         _, sweep = coupling_sweep_states
@@ -347,6 +349,7 @@ def pp_records():
     return records, time.time() - start
 
 
+@pytest.mark.slow
 def test_c08_pp_rise_leak_growth_and_runtime(pp_records):
     with criterion(8, "pion-pair probability rises from zero; leakage grows; < 30 min"):
         records, elapsed = pp_records
@@ -359,6 +362,7 @@ def test_c08_pp_rise_leak_growth_and_runtime(pp_records):
         assert elapsed < 1800.0
 
 
+@pytest.mark.slow
 def test_c08_pp_peak_inside_published_window(pp_records):
     with criterion(8, "pion-pair probability attains its maximum in t = [0.05, 0.2]"):
         records, _ = pp_records
@@ -368,6 +372,7 @@ def test_c08_pp_peak_inside_published_window(pp_records):
         assert 0.05 <= peak_time <= 0.2
 
 
+@pytest.mark.slow
 def test_c08_pp_reproduces_golden_first_steps(pp_records):
     with criterion(8, "first 20 steps reproduce the committed pp-collision run to 1e-10"):
         records, _ = pp_records

@@ -317,9 +317,9 @@ def test_plan_hash_is_stable(two_level):
     _, _, h, _, _, _, _ = two_level
     a = make_plan(h, 0.2, 10)
     b = make_plan(h, 0.2, 10)
-    assert a.term_order_hash == b.term_order_hash
+    assert a.rotations == b.rotations
     c = make_plan(h, 0.2, 9)
-    assert c.term_order_hash != a.term_order_hash
+    assert c.rotations != a.rotations
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -347,6 +347,16 @@ def test_sample_counts_reproducible_and_binomial():
 def test_sample_counts_requires_shots():
     with pytest.raises(ValueError):
         sample_counts(np.array([1.0 + 0j]), 0, seed=1)
+
+
+def test_sample_counts_on_indices_needs_a_wide_enough_register():
+    amp = np.array([0.6, 0.8])
+    with pytest.raises(ValueError):
+        sample_counts(amp, 10, seed=1, indices=[5, 9])
+    with pytest.raises(ValueError):
+        sample_counts(amp, 10, seed=1, indices=[5, 9], n_qubits=3)
+    counts = sample_counts(amp, 10, seed=1, indices=[5, 9], n_qubits=5)
+    assert set(counts) <= {"00101", "01001"} and sum(counts.values()) == 10
 
 
 # -- cost accounting ----------------------------------------------------------------

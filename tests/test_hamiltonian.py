@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from lfyukawa.hamiltonian import (
     build_part,
     self_inertia,
 )
-from lfyukawa.pauli import adjoint, commutator, subspace_matrix, to_matrix
+from lfyukawa.pauli import adjoint, commutator, dumps, subspace_matrix, to_matrix
 
 from oracles import FockOracle, bracket_exact, inertia_exact
 
@@ -215,3 +219,22 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(inertia_cutoff=2).validate(config)
     assert ModelParams(coupling=13.315).g == pytest.approx(13.315 / math.sqrt(4 * math.pi))
+
+
+@pytest.mark.parametrize(
+    "run", ["demo-coupling-sweep/coupling-sweep", "demo-pp-collision/pp-collision"]
+)
+def test_hamiltonians_reproduce_golden_hashes(run):
+    """The dumps of every golden run's Hamiltonian hash to the bits its manifest records."""
+    golden = Path(__file__).resolve().parent / "golden"
+    manifest = json.loads((golden / f"{run}.manifest.json").read_text())
+    cfg = manifest["config"]
+    config = ModeConfig(**{f.name: cfg[f.name] for f in fields(ModeConfig)})
+    params = ModelParams(**{f.name: cfg[f.name] for f in fields(ModelParams)})
+    layout = QubitLayout(config)
+    hashes = []
+    for lam in cfg.get("lambdas", [cfg["coupling"]]):
+        at_lam = replace(params, coupling=lam)
+        h = build_h(config, at_lam, layout, tuple(cfg["parts"]), cfg["cross_species_string"])
+        hashes.append(hashlib.sha256(dumps(h).encode()).hexdigest())
+    assert hashes == manifest["hamiltonian_hashes"]

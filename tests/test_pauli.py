@@ -220,7 +220,7 @@ def test_subspace_matrix_matches_apply_columns(case, tol):
     columns = np.stack([apply(op, np.eye(1 << op.n_qubits)[i]) for i in indices], axis=1)
     outside = np.delete(columns, indices, axis=0)
     worst = np.max(np.abs(outside), initial=0.0)
-    assert np.allclose(subspace_matrix(op, indices, check_leak=False), columns[indices], atol=1e-12)
+    assert np.allclose(subspace_matrix(op, indices, tol=np.inf), columns[indices], atol=1e-12)
     if worst > tol:
         with pytest.raises(ValueError):
             subspace_matrix(op, indices, tol=tol)
@@ -270,6 +270,21 @@ def test_bosons_commute_with_fermions(layout):
     a1 = boson_ladder(1, False, layout)
     bd2 = fermion_ladder("fermion", 2, True, layout)
     assert len(commutator(a1, bd2).prune(1e-10)) == 0
+
+
+def test_ladder_builders_pin_their_letters_and_coefficient_bits(layout):
+    # a zero real part is +0.0, as the letter route through canonicalize gives it;
+    # dumps prints the sign, so -0.0 would change Hamiltonian hashes
+    assert dumps(sigma_plus(2, 0)) == "0.5 0.0 XI\n0.0 0.5 YI"
+    assert dumps(sigma_minus(2, 1)) == "0.5 0.0 IX\n0.0 -0.5 IY"
+    assert dumps(proj0(2, 1)) == "0.5 0.0 II\n0.5 0.0 IZ"
+    assert dumps(proj1(2, 0)) == "0.5 0.0 II\n-0.5 0.0 ZI"
+    assert dumps(fermion_ladder("antifermion", 2, True, layout)) == (
+        "0.5 0.0 ZZZZXIIIIIII\n0.0 -0.5 ZZZZYIIIIIII"
+    )
+    assert dumps(fermion_ladder("antifermion", 2, False, layout, False)) == (
+        "0.5 0.0 IIIZXIIIIIII\n0.0 0.5 IIIZYIIIIIII"
+    )
 
 
 def test_creation_from_vacuum_has_unit_positive_amplitude(layout):

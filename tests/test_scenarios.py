@@ -274,6 +274,15 @@ def test_cli_list_and_sector(tmp_path, capsys):
     assert "010 000 00 00 00" in out and "100 000 01 00 00" in out
 
 
+def test_cli_sector_negative_k_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"scenario": "rabi"}')
+    with pytest.raises(SystemExit) as exc:
+        main(["sector", str(cfg_path), "--K", "-1", "--Q", "0"])
+    assert exc.value.code == 2
+    assert "--K" in capsys.readouterr().err
+
+
 def test_cli_dump_hamiltonian(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "hardware-minimal"}))
@@ -311,6 +320,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.slow
 def test_coupling_sweep_reproduces_golden_rows(tmp_path):
     golden = (GOLDEN / "demo-coupling-sweep" / "coupling-sweep.csv").read_text().splitlines()
     want = [golden[0]] + [row for row in golden[1:] if row.startswith("1,")]
