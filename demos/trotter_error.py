@@ -13,11 +13,11 @@ from lfyukawa import (
     ModelParams,
     QubitLayout,
     build_h,
-    enumerate_sector,
     exact_evolve,
     leakage,
     make_plan,
     plan_cost,
+    sector_indices,
     trotter_evolve,
 )
 
@@ -26,10 +26,10 @@ layout = QubitLayout(config)
 h = build_h(config, ModelParams(coupling=4.0), layout)
 state0 = FockState((0, 1, 0), (0, 0, 0), (0, 0, 0))
 psi0 = layout.basis_vector(state0)
-indices = [layout.encode(s) for s in enumerate_sector(config, 2, 1)]
+indices = sector_indices(config, 2, 1)
 
 t = 0.2
-exact = exact_evolve(h, psi0[indices], t, sector=(2, 1), layout=layout)
+exact = exact_evolve(h, psi0[indices], t, indices)
 p_exact = abs(exact[1]) ** 2  # position 1 of the sector basis
 print(f"exact transition probability at t = {t}: {p_exact:.6f}")
 

@@ -14,8 +14,8 @@ from lfyukawa import (
     ModelParams,
     QubitLayout,
     build_h,
-    enumerate_sector,
     exact_evolve,
+    sector_indices,
 )
 from lfyukawa.pauli import subspace_matrix
 
@@ -25,10 +25,9 @@ params = ModelParams(coupling=4.0)
 h = build_h(config, params, layout)
 print(f"register: {layout.total_qubits} qubits, Hamiltonian: {len(h)} Pauli strings")
 
-states = enumerate_sector(config, 2, 1)
-print("sector K=2, Q=1:", [layout.format_bits(layout.encode(s)) for s in states])
+indices = sector_indices(config, 2, 1)
+print("sector K=2, Q=1:", [layout.format_bits(i) for i in indices.tolist()])
 
-indices = [layout.encode(s) for s in states]
 block = subspace_matrix(h, indices)
 print("sector block:\n", np.round(block.real, 4))
 
@@ -40,7 +39,7 @@ print(f"two-level prediction: peak {v**2 / omega**2:.4f} at t = {np.pi / 2 / ome
 
 psi0 = layout.basis_vector(FockState((0, 1, 0), (0, 0, 0), (0, 0, 0)))
 times = np.arange(0.0, 1.0, 0.01)
-evolved = exact_evolve(h, psi0[indices], times, sector=(2, 1), layout=layout)
+evolved = exact_evolve(h, psi0[indices], times, indices)
 transition = np.abs(evolved[:, 1]) ** 2
 closed = (v**2 / omega**2) * np.sin(omega * times) ** 2
 print(f"max |simulated - closed form| over the grid: {np.max(np.abs(transition - closed)):.2e}")

@@ -16,6 +16,7 @@ from .fock import (
     enumerate_sector,
     k_of,
     q_of,
+    sector_indices,
 )
 from .pauli import (
     PauliString,
@@ -76,6 +77,7 @@ __all__ = [
     "enumerate_sector",
     "k_of",
     "q_of",
+    "sector_indices",
     "PauliString",
     "PauliSum",
     "adjoint",

@@ -14,10 +14,10 @@ import json
 import sys
 from dataclasses import asdict
 
-from .fock import QubitLayout, enumerate_sector
+from .fock import QubitLayout, sector_indices
 from .hamiltonian import build_h
 from .pauli import dumps
-from .scenarios import PRESETS, ConfigError, parse_config, run_scenario
+from .scenarios import PRESETS, ConfigError, SchemaError, parse_config, run_scenario
 
 __all__ = ["main"]
 
@@ -31,6 +31,14 @@ def _load_config(path: str):
     return parse_config(text)
 
 
+def _load_register(path: str):
+    """A configuration for commands that act on one register, so without n_values."""
+    cfg = _load_config(path)
+    if cfg.n_values is not None:
+        raise SchemaError("n_values: this command acts on one register, give n_modes")
+    return cfg
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     records, _, _, files = run_scenario(cfg)
@@ -41,7 +49,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_register(args.config)
     layout = QubitLayout(cfg.mode_config)
     h = build_h(cfg.mode_config, cfg.params, layout, cfg.parts, cfg.cross_species_string)
     header = {
@@ -59,12 +67,12 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_sector(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_register(args.config)
     layout = QubitLayout(cfg.mode_config)
-    states = enumerate_sector(cfg.mode_config, args.K, args.Q)
-    print(f"sector K={args.K} Q={args.Q}: {len(states)} states")
-    for state in states:
-        print(f"  {layout.format_bits(layout.encode(state))}")
+    indices = sector_indices(cfg.mode_config, args.K, args.Q)
+    print(f"sector K={args.K} Q={args.Q}: {len(indices)} states")
+    for index in indices.tolist():
+        print(f"  {layout.format_bits(index)}")
     return 0
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import QubitLayout, enumerate_sector
+from .fock import enumerate_sector  # noqa: F401  bench/spans.py wraps the name here
 from .pauli import (
     COMPARE_TOL,
     PauliString,
@@ -76,22 +76,19 @@ def exact_evolve(
     h: PauliSum,
     psi0: np.ndarray,
     t: float | np.ndarray,
-    sector: tuple[int, int],
-    layout: QubitLayout,
+    indices: np.ndarray,
 ) -> np.ndarray:
-    """e^{-iHt} psi0 by dense eigendecomposition inside the charge sector (K, Q).
+    """e^{-iHt} psi0 by dense eigendecomposition on the basis of sorted encoded indices.
 
-    ``psi0`` and the result hold amplitudes on the basis
-    ``enumerate_sector(layout.config, K, Q)``, in that (encoded-index) order:
-    ``psi0`` has shape (dim,), the result (dim,) for a scalar t, (n_times, dim) otherwise.
+    ``indices`` is a charge sector, ``fock.sector_indices(config, K, Q)``; ``psi0``
+    and the result hold amplitudes on it: ``psi0`` has shape (dim,), the result
+    (dim,) for a scalar t, (n_times, dim) otherwise.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    states = enumerate_sector(layout.config, *sector)
-    if len(states) > SECTOR_DIM_CAP:
-        raise ValueError(f"sector dimension {len(states)} exceeds cap {SECTOR_DIM_CAP}")
-    if np.shape(psi0) != (len(states),):
-        raise ValueError(f"psi0 has shape {np.shape(psi0)}, not ({len(states)},) of the sector")
-    indices = np.array([layout.encode(s) for s in states], dtype=np.int64)
+    if len(indices) > SECTOR_DIM_CAP:
+        raise ValueError(f"sector dimension {len(indices)} exceeds cap {SECTOR_DIM_CAP}")
+    if np.shape(psi0) != (len(indices),):
+        raise ValueError(f"psi0 has shape {np.shape(psi0)}, not ({len(indices)},) of the sector")
     mat = subspace_matrix(h, indices)
     herm_defect = np.max(np.abs(mat - mat.conj().T))
     if herm_defect > 1e-9 * max(1.0, np.max(np.abs(mat))):

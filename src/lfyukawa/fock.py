@@ -21,6 +21,7 @@ __all__ = [
     "QubitLayout",
     "k_of",
     "q_of",
+    "sector_indices",
     "enumerate_sector",
     "charge_tables",
 ]
@@ -216,58 +217,47 @@ class QubitLayout:
         return psi
 
 
-def _occupation_patterns(n_modes: int, k_budget: int):
-    """All 0/1 occupation tuples over modes 1..n_modes with K-sum at most k_budget."""
-    patterns: list[tuple[tuple[int, ...], int, int]] = []  # (occ, k, count)
+def _fills(caps: tuple[int, ...], widths: tuple[int, ...], k_budget: int):
+    """(bits, K, quanta) of each occupancy with K-sum at most k_budget, in increasing bits.
 
-    def rec(mode: int, occ: list[int], k: int, count: int):
-        if mode > n_modes:
-            patterns.append((tuple(occ), k, count))
-            return
-        rec(mode + 1, occ + [0], k, count)
-        if k + mode <= k_budget:
-            rec(mode + 1, occ + [1], k + mode, count + 1)
-
-    rec(1, [], 0, 0)
-    return patterns
-
-
-def _boson_fills(modals: tuple[int, ...], target_k: int):
-    """All boson occupancy tuples with K-sum exactly target_k, within modal caps."""
-    fills: list[tuple[int, ...]] = []
-    n_modes = len(modals)
-
-    def rec(mode: int, occ: list[int], remaining: int):
-        if mode > n_modes:
-            if remaining == 0:
-                fills.append(tuple(occ))
-            return
-        cap = min(modals[mode - 1], remaining // mode)
-        for p in range(cap + 1):
-            rec(mode + 1, occ + [p], remaining - p * mode)
-
-    rec(1, [], target_k)
-    return fills
+    Mode n holds up to caps[n-1] quanta in a big-endian block of widths[n-1] bits, mode 1 first.
+    """
+    out = [(0, 0, 0)]
+    for mode, (cap, width) in enumerate(zip(caps, widths), start=1):
+        out = [
+            ((bits << width) | p, k + p * mode, n + p)
+            for bits, k, n in out
+            for p in range(min(cap, (k_budget - k) // mode) + 1)
+        ]
+    return out
 
 
-def enumerate_sector(config: ModeConfig, K: int, Q: int) -> list[FockState]:
-    """All states with k_of = K and q_of = Q, ordered by encoded index.
+def sector_indices(config: ModeConfig, K: int, Q: int) -> np.ndarray:
+    """Encoded indices of all states with k_of = K and q_of = Q, as a sorted int64 array.
 
-    Generated by recursive occupancy construction with a K budget at every
-    step, so large registers never require a full-space scan.
+    Built from per-species occupancies under a K budget (no full-space scan).
+    Fermion bits lead the index, then antifermion bits, then boson blocks, so
+    the nested build comes out sorted.
     """
     if K < 0:
         raise ValueError("K must be non-negative")
-    layout = QubitLayout(config)
-    out = []
-    for f_occ, f_k, f_count in _occupation_patterns(config.n_fermion_modes, K):
-        for a_occ, a_k, a_count in _occupation_patterns(config.n_antifermion_modes, K - f_k):
-            if f_count - a_count != Q:
-                continue
-            for b_occ in _boson_fills(config.boson_modals, K - f_k - a_k):
-                out.append(FockState(f_occ, a_occ, b_occ))
-    out.sort(key=layout.encode)
-    return out
+    nf, na = config.n_fermion_modes, config.n_antifermion_modes
+    widths = QubitLayout(config).boson_widths
+    heads = [
+        (((f << na) | a) << sum(widths), K - fk - ak)
+        for f, fk, fn in _fills((1,) * nf, (1,) * nf, K)
+        for a, ak, an in _fills((1,) * na, (1,) * na, K - fk)
+        if fn - an == Q
+    ]
+    bosons: dict[int, list[int]] = {}
+    for b, bk, _ in _fills(config.boson_modals, widths, max((r for _, r in heads), default=-1)):
+        bosons.setdefault(bk, []).append(b)
+    return np.array([h | b for h, rest in heads for b in bosons.get(rest, ())], dtype=np.int64)
+
+
+def enumerate_sector(config: ModeConfig, K: int, Q: int) -> list[FockState]:
+    """The states of sector_indices(config, K, Q), decoded in the same order."""
+    return list(map(QubitLayout(config).decode, sector_indices(config, K, Q).tolist()))
 
 
 @lru_cache(maxsize=16)

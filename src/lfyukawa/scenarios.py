@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import EvolutionRecord, leakage, records_to_csv, survival, transition_prob
 from .evolve import NORM_TOL, SECTOR_DIM_CAP, exact_evolve, make_plan, sample_counts, trotter_evolve
-from .fock import FockState, ModeConfig, QubitLayout, enumerate_sector, k_of, q_of
+from .fock import FockState, ModeConfig, QubitLayout, k_of, q_of, sector_indices
+from .fock import enumerate_sector  # noqa: F401  bench/spans.py wraps the name here
 from .hamiltonian import PARTS, ModelParams, build_h
 from .pauli import COMPARE_TOL, DEFAULT_TOL, dumps
 
@@ -393,7 +394,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise PhysicsError(str(err)) from None
         for label in cfg.initial_states or (cfg.initial_state,):
             state = _resolve_state(label, config)
-            dim = len(enumerate_sector(config, k_of(state), q_of(state))) if exactly else 0
+            dim = len(sector_indices(config, k_of(state), q_of(state))) if exactly else 0
             message = f"sector dimension {dim} of {label!r} exceeds cap {SECTOR_DIM_CAP}"
             _require(dim <= SECTOR_DIM_CAP, state_key, message, PhysicsError)
     return cfg
@@ -448,22 +449,21 @@ class _Start:
         state = _resolve_state(label, config)
         self.K, self.Q = k_of(state), q_of(state)
         self.index = layout.encode(state)
-        sector = enumerate_sector(config, self.K, self.Q)
-        self.indices = np.array([layout.encode(s) for s in sector], dtype=np.int64)
+        self.indices = sector_indices(config, self.K, self.Q)
         self.amp0 = (self.indices == self.index).astype(complex)
         if content is None:
             self.targets = np.flatnonzero(self.indices != self.index)
         else:  # the states with these (fermion, antifermion, boson) particle counts
+            sector = map(layout.decode, self.indices.tolist())
             particles = [(sum(s.fermions), sum(s.antifermions), sum(s.bosons)) for s in sector]
             self.targets = np.flatnonzero([n == tuple(content) for n in particles])
 
 
-def _probability_map(psi, basis, layout, floor: float = 1e-12) -> dict[str, float]:
-    """Probabilities by bitstring of psi's amplitudes on basis (None: the whole register)."""
-    probs = np.abs(psi) ** 2
+def _probability_map(amp, basis, layout, floor: float = 1e-12) -> dict[str, float]:
+    """Probabilities by bitstring of the amplitudes amp on the basis indices."""
+    probs = np.abs(amp) ** 2
     hits = np.nonzero(probs > floor)[0]
-    labels = hits if basis is None else basis[hits]
-    return {layout.format_bits(int(i)): float(probs[k]) for i, k in zip(labels, hits)}
+    return {layout.format_bits(int(basis[k])): float(probs[k]) for k in hits}
 
 
 def _observation_times(cfg: ScenarioConfig) -> np.ndarray:
@@ -493,7 +493,7 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
     """
     if cfg.mode == "exact":
         for k, s in enumerate(starts):
-            for j, amp in enumerate(exact_evolve(h, s.amp0, times, (s.K, s.Q), layout)):
+            for j, amp in enumerate(exact_evolve(h, s.amp0, times, s.indices)):
                 emit(k, j, amp, None, {})
         return
     # built before the plans: allocated after plan compilation they add a vector to peak RSS
@@ -539,7 +539,7 @@ def _run_grid(cfg: ScenarioConfig):
             if with_exact and cfg.mode == "trotter":
                 exact = [
                     [transition_prob(amp, s.targets, layout)
-                     for amp in exact_evolve(h, s.amp0, times, (s.K, s.Q), layout)]
+                     for amp in exact_evolve(h, s.amp0, times, s.indices)]
                     for s in starts
                 ]
             for n_t in cfg.trotter_steps or (cfg.n_steps,):
@@ -551,7 +551,6 @@ def _run_grid(cfg: ScenarioConfig):
                     key = [cell[c] for c in sweep_cols]
                     meta.update(zip(sweep_cols, key))
                     leak = (0.0, 0.0) if psi is None else leakage(psi, start.K, start.Q, layout)
-                    readout = (amp, start.indices) if psi is None else (psi, None)
                     rec = EvolutionRecord(
                         float(times[j]), survival(amp, start.amp0),
                         transition_prob(amp, start.targets, layout), *leak, metadata=meta,
@@ -564,11 +563,12 @@ def _run_grid(cfg: ScenarioConfig):
                         hits = [start.index]
                         if sampled == "transition_sampled":
                             hits = start.indices[start.targets]
+                        readout = (amp, start.indices) if psi is None else (psi, None)
                         meta[sampled] = _sampled_fraction(
                             *readout, hits, layout, cfg.shots, cfg.seed, cfg.scenario, *key
                         )
                     if preset.get("probabilities"):
-                        rec.probabilities = _probability_map(*readout, layout)
+                        rec.probabilities = _probability_map(amp, start.indices, layout)
                     rows[k].append(rec)
 
                 _evolve(cfg, h, starts, layout, times, n_t, emit)
@@ -587,10 +587,11 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
         raise SchemaError(f"scenario: unknown scenario {cfg.scenario!r}")
     records, sweep_cols, extra_cols, hams, extras = _run_grid(cfg)
     csv_text = records_to_csv(records, sweep_cols, extra_cols)
+    qubits = [QubitLayout(config).total_qubits for _, config in cfg.registers()]
     manifest = {
         "package_version": __version__,
         "config": cfg.echo(),
-        "qubits": QubitLayout(cfg.mode_config).total_qubits,
+        "qubits": qubits if cfg.n_values is not None else qubits[0],
         "hamiltonian_term_counts": [len(h) for h in hams],
         "hamiltonian_hashes": [hashlib.sha256(dumps(h).encode()).hexdigest() for h in hams],
         "records": len(records),

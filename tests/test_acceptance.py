@@ -23,7 +23,15 @@ from lfyukawa.evolve import (
     sample_counts,
     trotter_evolve,
 )
-from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector, k_of, q_of
+from lfyukawa.fock import (
+    FockState,
+    ModeConfig,
+    QubitLayout,
+    enumerate_sector,
+    k_of,
+    q_of,
+    sector_indices,
+)
 from lfyukawa.hamiltonian import ModelParams, build_charge, build_h
 from lfyukawa.pauli import (
     boson_ladder,
@@ -54,9 +62,9 @@ def criterion(number: int, label: str):
 
 def _exact_on_register(h, psi0, t, sector, layout):
     """exact_evolve from psi0's sector amplitudes, scattered into a register statevector."""
-    indices = [layout.encode(s) for s in enumerate_sector(layout.config, *sector)]
+    indices = sector_indices(layout.config, *sector)
     psi = np.zeros_like(psi0)
-    psi[indices] = exact_evolve(h, psi0[indices], t, sector=sector, layout=layout)
+    psi[indices] = exact_evolve(h, psi0[indices], t, indices)
     return psi
 
 
@@ -200,10 +208,9 @@ def fig2_system():
     h = build_h(config, ModelParams(coupling=4.0), layout)
     state0 = FockState((0, 1, 0), (0, 0, 0), (0, 0, 0))
     psi0 = layout.basis_vector(state0)
-    states = enumerate_sector(config, 2, 1)
-    indices = [layout.encode(s) for s in states]
+    indices = sector_indices(config, 2, 1)
     times = np.round(np.arange(0.0, 1.0 + 0.005, 0.01), 12)
-    evolved = exact_evolve(h, psi0[indices], times, sector=(2, 1), layout=layout)
+    evolved = exact_evolve(h, psi0[indices], times, indices)
     return layout, h, indices, times, evolved
 
 
@@ -241,7 +248,7 @@ def trotter_sweep(fig2_system):
     layout, h, indices, _, _ = fig2_system
     psi0 = np.zeros(1 << layout.total_qubits, dtype=complex)
     psi0[indices[0]] = 1.0
-    exact = exact_evolve(h, psi0[indices], 0.2, sector=(2, 1), layout=layout)
+    exact = exact_evolve(h, psi0[indices], 0.2, indices)
     p_exact = abs(exact[1]) ** 2
     results = {}
     for n_steps in range(1, 11):

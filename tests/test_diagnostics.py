@@ -10,7 +10,7 @@ from lfyukawa.diagnostics import (
     transition_prob,
 )
 from lfyukawa.evolve import exact_evolve
-from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector
+from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector, sector_indices
 from lfyukawa.hamiltonian import ModelParams, build_charge, build_h
 from lfyukawa.pauli import PauliString, canonicalize
 
@@ -27,8 +27,8 @@ def system():
 def _exact_on_register(h, psi0, t, layout):
     """exact_evolve in the (K=2, Q=1) sector, scattered into a register statevector."""
     psi = np.zeros_like(psi0)
-    indices = [layout.encode(s) for s in enumerate_sector(layout.config, 2, 1)]
-    psi[indices] = exact_evolve(h, psi0[indices], t, sector=(2, 1), layout=layout)
+    indices = sector_indices(layout.config, 2, 1)
+    psi[indices] = exact_evolve(h, psi0[indices], t, indices)
     return psi
 
 

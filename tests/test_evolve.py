@@ -16,7 +16,7 @@ from lfyukawa.evolve import (
     sample_counts,
     trotter_evolve,
 )
-from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector
+from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector, sector_indices
 from lfyukawa.hamiltonian import ModelParams, build_h
 from lfyukawa.pauli import (
     PauliString,
@@ -40,7 +40,7 @@ def two_level():
     state0 = FockState((0, 1, 0), (0, 0, 0), (0, 0, 0))
     psi0 = layout.basis_vector(state0)
     states = enumerate_sector(config, 2, 1)
-    indices = [layout.encode(s) for s in states]
+    indices = sector_indices(config, 2, 1)
     return config, layout, h, state0, psi0, states, indices
 
 
@@ -94,7 +94,7 @@ def _on_register(amp, indices, psi0):
 
 def test_exact_evolve_time_zero(two_level):
     _, layout, h, _, psi0, _, indices = two_level
-    out = exact_evolve(h, psi0[indices], 0.0, sector=(2, 1), layout=layout)
+    out = exact_evolve(h, psi0[indices], 0.0, indices)
     assert out.shape == (len(indices),)
     assert np.allclose(out, psi0[indices], atol=1e-12)
 
@@ -130,7 +130,8 @@ def test_exact_evolve_matches_oracle_expm(data, n_modes, coupling, times):
     states = enumerate_sector(config, *sector)
     start = data.draw(st.integers(0, len(states) - 1), label="start")
     h = build_h(config, ModelParams(coupling=coupling), layout)
-    got = exact_evolve(h, np.eye(len(states))[start], np.array(times), sector, layout)
+    indices = sector_indices(config, *sector)
+    got = exact_evolve(h, np.eye(len(states))[start], np.array(times), indices)
     assert got.shape == (len(times), len(states))
     mat = _fock_oracle(n_modes).matrix(states, coupling, False)
     for t, amp in zip(times, got):
@@ -142,7 +143,7 @@ def test_exact_evolve_rejects_sector_leaving_hamiltonian(two_level):
     _, layout, h, _, psi0, _, indices = two_level
     flip = PauliSum.from_label("X" + "I" * (layout.total_qubits - 1), 0.3)
     with pytest.raises(ValueError, match="leaves the subspace"):
-        exact_evolve(h + flip, psi0[indices], 0.1, sector=(2, 1), layout=layout)
+        exact_evolve(h + flip, psi0[indices], 0.1, indices)
 
 
 def test_exact_evolve_matches_closed_form_rabi(two_level):
@@ -151,7 +152,7 @@ def test_exact_evolve_matches_closed_form_rabi(two_level):
     v = block[0, 1].real
     delta = (block[1, 1] - block[0, 0]).real
     times = np.linspace(0.0, 1.0, 101)
-    evolved = exact_evolve(h, psi0[indices], times, sector=(2, 1), layout=layout)
+    evolved = exact_evolve(h, psi0[indices], times, indices)
     got = np.abs(evolved[:, 1]) ** 2
     want = rabi_transition(v, delta, times)
     assert np.max(np.abs(got - want)) < 1e-8
@@ -159,7 +160,7 @@ def test_exact_evolve_matches_closed_form_rabi(two_level):
 
 def test_exact_evolve_conserves_charges(two_level):
     _, layout, h, _, psi0, _, indices = two_level
-    out = _on_register(exact_evolve(h, psi0[indices], 0.31, (2, 1), layout), indices, psi0)
+    out = _on_register(exact_evolve(h, psi0[indices], 0.31, indices), indices, psi0)
     leak_k, leak_q = leakage(out, 2, 1, layout)
     assert leak_k < 1e-10 and leak_q < 1e-10
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
@@ -170,7 +171,7 @@ def test_exact_evolve_rejects_wrong_shape(two_level):
     _, layout, h, _, psi0, _, indices = two_level
     for bad in (psi0, psi0[indices][:1], psi0[indices][None, :]):
         with pytest.raises(ValueError, match="shape"):
-            exact_evolve(h, bad, 0.1, sector=(2, 1), layout=layout)
+            exact_evolve(h, bad, 0.1, indices)
 
 
 # -- Trotter plans ------------------------------------------------------------------
@@ -203,7 +204,7 @@ def test_trotter_exact_for_commuting_terms(two_level):
     free = build_h(config, ModelParams(coupling=0.0), layout)
     plan = make_plan(free, 0.7, 3, order=1)
     got = trotter_evolve(plan, psi0)
-    want = _on_register(exact_evolve(free, psi0[indices], 0.7, (2, 1), layout), indices, psi0)
+    want = _on_register(exact_evolve(free, psi0[indices], 0.7, indices), indices, psi0)
     assert np.max(np.abs(np.abs(got) ** 2 - np.abs(want) ** 2)) < 1e-12
 
 
@@ -285,7 +286,7 @@ def test_blocked_handles_a_string_wider_than_a_block():
 def test_trotter_transition_converges_to_exact(two_level):
     _, layout, h, _, psi0, _, indices = two_level
     target = indices[1]
-    exact = exact_evolve(h, psi0[indices], 0.2, sector=(2, 1), layout=layout)
+    exact = exact_evolve(h, psi0[indices], 0.2, indices)
     p_exact = abs(exact[1]) ** 2
     deviations = []
     for n_steps in (2, 10, 50):
@@ -297,7 +298,7 @@ def test_trotter_transition_converges_to_exact(two_level):
 
 def test_order2_beats_order1(two_level):
     _, layout, h, _, psi0, _, indices = two_level
-    exact = _on_register(exact_evolve(h, psi0[indices], 0.2, (2, 1), layout), indices, psi0)
+    exact = _on_register(exact_evolve(h, psi0[indices], 0.2, indices), indices, psi0)
     errs = {}
     for order in (1, 2):
         psi = trotter_evolve(make_plan(h, 0.2, 10, order=order), psi0)

@@ -9,6 +9,7 @@ from lfyukawa.fock import (
     enumerate_sector,
     k_of,
     q_of,
+    sector_indices,
 )
 
 
@@ -93,19 +94,33 @@ def test_sector_vacuum_only_at_origin():
     config = ModeConfig.uniform(4, 3)
     assert enumerate_sector(config, 0, 0) == [FockState.vacuum(config)]
     assert enumerate_sector(config, 0, 1) == []
+    empty = sector_indices(config, 0, 1)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    with pytest.raises(ValueError, match="non-negative"):
+        sector_indices(config, -1, 0)
 
 
-@pytest.mark.parametrize("config", [ModeConfig.uniform(3, 3), ModeConfig(2, 2, 2, (3, 1))])
+@pytest.mark.parametrize(
+    "config",
+    [
+        ModeConfig.uniform(3, 3),
+        ModeConfig(2, 2, 2, (3, 1)),
+        ModeConfig.uniform(2, 7),
+        ModeConfig(3, 1, 2, (1, 3)),
+    ],
+)
 def test_sector_enumeration_matches_full_scan(config):
     layout = QubitLayout(config)
     k_arr, q_arr = charge_tables(layout)
     seen = 0
     for K in range(config.max_k + 1):
         for Q in range(-config.n_antifermion_modes, config.n_fermion_modes + 1):
-            states = enumerate_sector(config, K, Q)
-            expect = np.nonzero((k_arr == K) & (q_arr == Q))[0]
-            assert [layout.encode(s) for s in states] == expect.tolist()
-            seen += len(states)
+            indices = sector_indices(config, K, Q)
+            assert indices.dtype == np.int64
+            assert indices.tolist() == np.flatnonzero((k_arr == K) & (q_arr == Q)).tolist()
+            # enumerate_sector is the decoding of the same sorted basis
+            assert enumerate_sector(config, K, Q) == [layout.decode(i) for i in indices.tolist()]
+            seen += len(indices)
     assert seen == 1 << layout.total_qubits  # sectors partition the space
 
 
@@ -113,10 +128,10 @@ def test_sector_k9_q2_matches_scan_on_pp_register():
     config = ModeConfig.uniform(5, 3)
     layout = QubitLayout(config)
     k_arr, q_arr = charge_tables(layout)
-    expect = np.nonzero((k_arr == 9) & (q_arr == 2))[0]
-    states = enumerate_sector(config, 9, 2)
-    assert [layout.encode(s) for s in states] == expect.tolist()
-    assert len(states) > 0
+    expect = np.flatnonzero((k_arr == 9) & (q_arr == 2))
+    indices = sector_indices(config, 9, 2)
+    assert indices.tolist() == expect.tolist() and len(indices) == 42
+    assert [layout.encode(s) for s in enumerate_sector(config, 9, 2)] == expect.tolist()
 
 
 def test_parse_bits_rejects_wrong_length():

@@ -240,9 +240,10 @@ def test_nmax_study_small(tmp_path):
         "initial_states": ["f2"],
         "output_dir": str(tmp_path / "nm"),
     }
-    records, csv_text, _, _ = run_scenario(parse_config(json.dumps(doc)))
+    records, csv_text, manifest, _ = run_scenario(parse_config(json.dumps(doc)))
     assert len(records) == 2
     assert csv_text.splitlines()[0].startswith("n_max,lambda,state,")
+    assert manifest["qubits"] == [8, 12]  # one width per register, in n_values order
     # the two-level sector is saturated already at two modes: same survival
     assert records[0].survival == pytest.approx(records[1].survival, abs=5e-3)
 
@@ -281,6 +282,19 @@ def test_cli_sector_negative_k_is_a_usage_error(tmp_path, capsys):
         main(["sector", str(cfg_path), "--K", "-1", "--Q", "0"])
     assert exc.value.code == 2
     assert "--K" in capsys.readouterr().err
+
+
+def test_cli_single_register_commands_refuse_n_values(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"scenario": "nmax-study", "n_values": [2, 3]}')
+    sector = ["sector", str(cfg_path), "--K", "2", "--Q", "1"]
+    for argv in (sector, ["dump-hamiltonian", str(cfg_path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error: n_values" in captured.err
+    cfg_path.write_text('{"scenario": "nmax-study", "n_values": null, "n_modes": 2}')
+    assert main(sector) == 0
+    assert "sector K=2 Q=1: 2 states" in capsys.readouterr().out
 
 
 def test_cli_dump_hamiltonian(tmp_path, capsys):
@@ -445,7 +459,7 @@ def test_sector_cap_exits_2_before_build_h(tmp_path, capsys, monkeypatch):
     assert _run_cli(tmp_path, doc) == 2  # K = 24, Q = 0: 9,994 states
     assert "initial_state: sector dimension 9994" in capsys.readouterr().err
     # Trotter-only runs enumerate no sector while parsing
-    monkeypatch.setattr(scenarios, "enumerate_sector", _refuse)
+    monkeypatch.setattr(scenarios, "sector_indices", _refuse)
     parse_config('{"scenario": "coupling-sweep"}')
 
 
@@ -487,11 +501,11 @@ def test_sector_readout_equals_register_readout():
     h = build_h(config, ModelParams(coupling=4.0), layout)
     for label in ("f2", "f2-fbar2-phi2"):
         start = _Start(label, config, layout)
-        sector = (start.K, start.Q)
-        for amp in exact_evolve(h, start.amp0, np.array([0.05, 0.2, 0.37, 0.9]), sector, layout):
+        for amp in exact_evolve(h, start.amp0, np.array([0.05, 0.2, 0.37, 0.9]), start.indices):
             psi = np.zeros(1 << layout.total_qubits, dtype=complex)
             psi[start.indices] = amp
-            want = _probability_map(psi, None, layout)
+            probs = np.abs(psi) ** 2
+            want = {layout.format_bits(i): float(probs[i]) for i in np.flatnonzero(probs > 1e-12)}
             assert _probability_map(amp, start.indices, layout) == want
             for seed in range(20):
                 want = sample_counts(psi, 1000, seed)
