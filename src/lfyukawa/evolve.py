@@ -3,8 +3,10 @@
 The Trotter step is an ordered product of single-string rotations
 ``exp(-i * angle * P)``.  The plan fixes a deterministic term order (diagonal
 strings first, then flip-pattern-grouped strings) and the evaluator composes
-consecutive rotations acting on the same few qubits into small dense unitaries,
-which keeps 20-qubit runs tractable without changing the operator product.
+consecutive rotations flipping the same few qubits into small unitaries on them.
+Such a unitary only couples bit patterns that differ by a XOR of its flip masks,
+so it is stored as one block per coset of their GF(2) span.  This keeps 20-qubit
+runs tractable without changing the operator product.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def make_plan(h: PauliSum, t: float, n_steps: int, order: int = 1) -> TrotterPla
 
 _BLOCK_QUBIT_CAP = 8
 _SIG_MASK_CAP = 6
-_UNITARY_BYTES_CAP = 16 << 20
+_UNITARY_BYTES_CAP = 16 << 20  # per block: S signatures x C cosets x D*D entries x 16 bytes
 
 
 def _compile_plan(plan: TrotterPlan) -> list:
@@ -175,11 +177,12 @@ def _compile_plan(plan: TrotterPlan) -> list:
 
     Consecutive diagonal rotations fuse into one elementwise phase factor.
     Consecutive flip rotations whose flipped-qubit union stays small compose
-    into dense unitaries on those qubits; Z letters outside the union only
-    contribute a parity sign per non-support pattern and are handled by
-    parity-conditioned variants of the unitary.  Segment evaluation is plain
-    reassociation of the ordered rotation product, so the result equals the
-    rotation-by-rotation reference up to float round-off.
+    into unitaries on those qubits, one block per coset of the span of their
+    flip masks; Z letters outside the union only contribute a parity sign per
+    non-support pattern and are handled by parity-conditioned variants of the
+    unitary.  Segment evaluation is plain reassociation of the ordered rotation
+    product, so the result equals the rotation-by-rotation reference up to float
+    round-off, and amplitudes that no XOR of flips reaches stay exactly zero in both.
     """
     n = plan.n_qubits
     rotations = plan.rotations
@@ -254,8 +257,18 @@ def _compile_block(run: list, n: int, union: int):
         compiled_rots.append((localize(x), localize(z & support_mask), eta, angle, w_pos))
     if len(out_masks) > _SIG_MASK_CAP:
         return ("rots", run)
+    # the localized flips span d dimensions over GF(2): the block's unitary only couples
+    # patterns in one coset of that span, so it is C = 2^(f-d) blocks of D = 2^d
+    coord = {0: 0}  # span element -> its coordinate t over the basis found so far
+    for xl, *_ in compiled_rots:
+        if xl not in coord:
+            coord |= {v ^ xl: t | len(coord) for v, t in coord.items()}
+    span = np.array(sorted(coord, key=coord.get), dtype=np.int64)
+    patt = np.arange(1 << f, dtype=np.int64)
+    reps = np.unique(np.min(patt[:, None] ^ span, axis=1))
+    local = reps[:, None] ^ span  # (C, D): coset c, span coordinate t
     rest = [q for q in range(n) if q not in support]
-    sup_off = _spread_offsets(list(support), n)
+    sup_off = _spread_offsets(list(support), n)[local]
     rest_off = _spread_offsets(rest, n)
     # signature of each non-support pattern: one parity bit per distinct z_out mask
     sig = np.zeros(rest_off.shape, dtype=np.int64)
@@ -266,21 +279,23 @@ def _compile_block(run: list, n: int, union: int):
     sig = sig[order]
     present = np.unique(sig)
     bounds = np.searchsorted(sig, present, side="left").tolist() + [sig.size]
-    dim = 1 << f
-    if len(present) * dim * dim * 16 > _UNITARY_BYTES_CAP:
+    n_cos, dim = local.shape
+    if len(present) * n_cos * dim * dim * 16 > _UNITARY_BYTES_CAP:
         return ("rots", run)
-    lidx = np.arange(dim, dtype=np.int64)
-    slices = []
-    for which, s in enumerate(present.tolist()):
-        u = np.eye(dim, dtype=complex)
-        for xl, zl, eta, angle, w_pos in compiled_rots:
-            theta = -angle if w_pos >= 0 and (s >> w_pos) & 1 else angle
-            c, sn = math.cos(theta), math.sin(theta)
-            phase = eta * (1.0 - 2.0 * (np.bitwise_count(lidx & zl) & 1).astype(np.int8))
-            pu = (phase[:, None] * u)[lidx ^ xl]
-            u = c * u - 1j * sn * pu
-        slices.append((bounds[which], bounds[which + 1], u))
-    return ("blk", sup_off, rest_off.astype(np.int64), slices)
+    # one (C, D, D) stack per signature, composed by the dense per-rotation update so that
+    # each stored entry rounds like its dense counterpart; signature bit w_pos set runs a
+    # rotation at -angle, and column -1 (w_pos = -1, no outside Z letters) is all zeros
+    flip = (present[:, None] >> np.arange(len(out_masks) + 1)) & 1
+    u = np.tile(np.eye(dim, dtype=complex), (len(present), n_cos, 1, 1))
+    tidx = np.arange(dim)
+    for xl, zl, eta, angle, w_pos in compiled_rots:
+        trig = np.array([(math.cos(a), math.sin(a)) for a in (angle, -angle)])
+        c, sn = trig[flip[:, w_pos]].T[:, :, None, None, None]
+        phase = eta * (1.0 - 2.0 * (np.bitwise_count(local & zl) & 1).astype(np.int8))
+        pu = (phase[:, :, None] * u)[:, :, tidx ^ coord[xl]]
+        u = c * u - 1j * sn * pu
+    slices = [(bounds[k], bounds[k + 1], u[k]) for k in range(len(present))]
+    return ("blk", sup_off, rest_off, slices)
 
 
 def _apply_segment(segment, psi: np.ndarray, n: int) -> np.ndarray:
@@ -293,10 +308,10 @@ def _apply_segment(segment, psi: np.ndarray, n: int) -> np.ndarray:
             _rotate(psi, x, z, angle)
         return psi
     _, sup_off, rest_off, slices = segment
-    idx = sup_off[:, None] + rest_off[None, :]
+    idx = sup_off[:, :, None] + rest_off
     mat = psi[idx]
     for lo, hi, u in slices:
-        mat[:, lo:hi] = u @ mat[:, lo:hi]
+        mat[..., lo:hi] = u @ mat[..., lo:hi]
     psi[idx] = mat
     return psi
 
@@ -312,7 +327,8 @@ def trotter_evolve(
     ``observer(step, psi)`` is called after each full step with the live
     statevector (read-only).  ``method="sequential"`` evaluates rotation by
     rotation and is the reference path; ``"blocked"`` composes same-flip-pattern
-    runs into small dense unitaries (identical product, large registers);
+    runs into small unitaries, one block per coset of the span of their flips
+    (identical product, large registers);
     ``"auto"`` picks by register size.
     """
     if psi0.shape != (1 << plan.n_qubits,):

@@ -126,6 +126,10 @@ MAX_QUBITS = 63
 
 # Peak bytes per register amplitude of a Trotter run: about 6.2 complex
 # statevectors of 16 bytes each (1675 MB measured at 24 qubits), rounded up.
+# One blocked step of the 20-qubit pp-collision plan peaks at 98.6 bytes per
+# amplitude of numpy memory (tracemalloc): 16 the statevector, 42.6 the
+# compiled plan (phase vector, index table, coset unitaries) and 40 the step's
+# int64 index, (C, D, cols) gather and product.
 _TROTTER_BYTES_PER_AMP = 7 * 16
 
 # Sweep axes in column order: (configuration key, CSV column).

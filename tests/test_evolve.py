@@ -1,4 +1,5 @@
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -217,11 +218,38 @@ def test_blocked_equals_sequential(two_level):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
-def _random_real_sum(draw, n: int, max_flips: int, min_zs: int, max_zs: int) -> PauliSum:
+def test_blocked_keeps_the_exact_zeros_and_the_shot_draws(two_level):
+    # Generator.multinomial draws one binomial per basis index in order and skips an
+    # index of probability exactly 0 without consuming random numbers, so a seeded
+    # histogram depends on which amplitudes are exactly zero, not only on their
+    # values.  A coset block mixes only indices that differ by a XOR of its flips, so
+    # an index off the coset psi0 ^ span(all flips) stays a sum of exact zeros, as in
+    # the rotation-by-rotation product; round-off on the nonzero amplitudes would
+    # have to cross a binomial threshold to move a draw.
+    _, _, h, _, psi0, _, _ = two_level
+    for order in (1, 2):
+        plan = make_plan(h, 0.2, 10, order=order)
+        a = trotter_evolve(plan, psi0, method="sequential")
+        b = trotter_evolve(plan, psi0, method="blocked")
+        assert np.array_equal(a == 0, b == 0)
+        assert np.count_nonzero(a) == 1024 and a.size == 4096
+        for seed in range(20):
+            assert sample_counts(a, 8192, seed) == sample_counts(b, 8192, seed)
+
+
+def _random_real_sum(
+    draw, n: int, max_flips: int, min_zs: int, max_zs: int, n_base: int = 0
+) -> PauliSum:
     """A real-coefficient (Hermitian) sum: up to max_flips flip patterns (the diagonal one
-    among them), each with min_zs to max_zs z masks."""
-    masks = st.integers(0, (1 << n) - 1)
-    flips = st.lists(st.just(0) | masks, min_size=1, max_size=max_flips, unique=True)
+    among them), each with min_zs to max_zs z masks.  With n_base > 0 each flip pattern is
+    the XOR of one to three of n_base drawn base masks, so they span at most n_base
+    dimensions."""
+    masks = flip_masks = st.integers(0, (1 << n) - 1)
+    if n_base:
+        base = draw(st.lists(masks, min_size=n_base, max_size=n_base), label="base")
+        picks = st.lists(st.sampled_from(base), min_size=1, max_size=3)
+        flip_masks = picks.map(lambda chosen: reduce(xor, chosen, 0))
+    flips = st.lists(st.just(0) | flip_masks, min_size=1, max_size=max_flips, unique=True)
     zs = st.lists(masks, min_size=min(min_zs, 1 << n), max_size=max_zs, unique=True)
     coeffs = st.floats(-2.0, 2.0, allow_nan=False)
     terms = {}
@@ -235,14 +263,15 @@ def _random_real_sum(draw, n: int, max_flips: int, min_zs: int, max_zs: int) -> 
 @given(
     data=st.data(),
     n=st.integers(3, 11),
-    shape=st.sampled_from([(3, 12, 24), (8, 1, 4)]),
+    shape=st.sampled_from([(3, 12, 24), (8, 1, 4), (8, 1, 2, 3)]),
     n_steps=st.integers(1, 3),
     order=st.sampled_from([1, 2]),
     t=st.floats(0.01, 1.0),
 )
 def test_blocked_equals_sequential_on_random_sums(data, n, shape, n_steps, order, t):
     # few flip patterns with many z masks leave more than _SIG_MASK_CAP parity masks
-    # outside a block's support, so the per-rotation "rots" fallback runs as well
+    # outside a block's support, so the per-rotation "rots" fallback runs as well; flips
+    # spanning at most 3 dimensions make blocks of several cosets (d < f)
     h = _random_real_sum(data.draw, n, *shape)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="psi seed"))
     psi0 = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
@@ -255,7 +284,8 @@ def test_blocked_equals_sequential_on_random_sums(data, n, shape, n_steps, order
 
 def test_blocked_compiles_both_segment_kinds():
     # flips on qubits 0-4, eight z masks with distinct parities on qubits 5-8: a "rots"
-    # segment; flips on qubits 4-8 overflow the 8-qubit block and start a dense "blk" one
+    # segment; flips on qubits 4-8 overflow the 8-qubit block and start a coset-blocked
+    # "blk" one
     n = 9
     terms = {(0b111110000, 0b100000000 | k): 0.1 * k for k in range(1, 9)}
     terms[0b000011111, 0b100000000] = 0.7
@@ -266,6 +296,24 @@ def test_blocked_compiles_both_segment_kinds():
         kinds = [segment[0] for segment in _compile_plan(plan)]
         assert {"blk", "rots"} <= set(kinds)
         psi0 = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+        a = trotter_evolve(plan, psi0, method="sequential")
+        b = trotter_evolve(plan, psi0, method="blocked")
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_blocked_stacks_one_unitary_per_coset():
+    # flips 0b110 and 0b011 on qubits 1-3 span {0, 110, 011, 101}: two cosets of four
+    # patterns, one (2, 4, 4) stack for each parity of the Z letter on qubit 0
+    n = 4
+    terms = {(0b0110, 0b0000): 0.3, (0b0110, 0b1010): -0.4, (0b0011, 0b0001): 0.5}
+    terms[0, 0b0101] = 0.2
+    h = PauliSum(n, {k: complex(c) for k, c in terms.items()})
+    psi0 = np.exp(1j * np.arange(1 << n)) / (1 << n) ** 0.5
+    for order in (1, 2):
+        plan = make_plan(h, 0.6, 3, order=order)
+        [(_, sup_off, _, slices)] = [s for s in _compile_plan(plan) if s[0] == "blk"]
+        assert sup_off.shape == (2, 4)
+        assert [u.shape for _, _, u in slices] == [(2, 4, 4)] * 2
         a = trotter_evolve(plan, psi0, method="sequential")
         b = trotter_evolve(plan, psi0, method="blocked")
         assert np.max(np.abs(a - b)) < 1e-12
