@@ -2,11 +2,13 @@
 
 The Trotter step is an ordered product of single-string rotations
 ``exp(-i * angle * P)``.  The plan fixes a deterministic term order (diagonal
-strings first, then flip-pattern-grouped strings) and the evaluator composes
-consecutive rotations flipping the same few qubits into small unitaries on them.
-Such a unitary only couples bit patterns that differ by a XOR of its flip masks,
-so it is stored as one block per coset of their GF(2) span.  This keeps 20-qubit
-runs tractable without changing the operator product.
+strings first, then flip-pattern-grouped strings) and ``trotter_evolve`` steps
+one compiled form of it: consecutive rotations flipping the same few qubits are
+composed into small unitaries on them.  Such a unitary only couples bit patterns
+that differ by a XOR of its flip masks, so it is stored as one block per coset
+of their GF(2) span.  This keeps 20-qubit runs tractable without changing the
+operator product; the rotation-by-rotation reference it is tested against lives
+with the test oracles.
 """
 
 from __future__ import annotations
@@ -316,42 +318,25 @@ def _apply_segment(segment, psi: np.ndarray, n: int) -> np.ndarray:
     return psi
 
 
-def trotter_evolve(
-    plan: TrotterPlan,
-    psi0: np.ndarray,
-    observer=None,
-    method: str = "auto",
-) -> np.ndarray:
-    """Apply the plan's rotations for all steps; norm is preserved.
+def trotter_evolve(plan: TrotterPlan, psi0: np.ndarray, observer=None) -> np.ndarray:
+    """Apply the plan's compiled segments for all steps; norm is preserved.
 
     ``observer(step, psi)`` is called after each full step with the live
-    statevector (read-only).  ``method="sequential"`` evaluates rotation by
-    rotation and is the reference path; ``"blocked"`` composes same-flip-pattern
-    runs into small unitaries, one block per coset of the span of their flips
-    (identical product, large registers);
-    ``"auto"`` picks by register size.
+    statevector (read-only).  The plan compiles once, on first use: runs of
+    diagonal rotations become phase vectors, runs of flip rotations small
+    unitaries stored one block per coset of the span of their flips, and the
+    rest stays rotation by rotation.  The product equals the ordered rotation
+    product up to round-off, with the same exactly zero amplitudes.
     """
     if psi0.shape != (1 << plan.n_qubits,):
         raise ValueError("statevector length does not match the plan's register")
-    if method == "auto":
-        method = "blocked" if plan.n_qubits >= 14 else "sequential"
     psi = psi0.astype(complex, copy=True)
-    if method == "sequential":
-        for step in range(plan.n_steps):
-            for x, z, angle in plan.rotations:
-                _rotate(psi, x, z, angle)
-            psi *= plan.step_phase
-            if observer is not None:
-                observer(step + 1, psi)
-    elif method == "blocked":
-        for step in range(plan.n_steps):
-            for segment in plan._compiled:
-                _apply_segment(segment, psi, plan.n_qubits)
-            psi *= plan.step_phase
-            if observer is not None:
-                observer(step + 1, psi)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for step in range(plan.n_steps):
+        for segment in plan._compiled:
+            _apply_segment(segment, psi, plan.n_qubits)
+        psi *= plan.step_phase
+        if observer is not None:
+            observer(step + 1, psi)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > NORM_TOL:
         raise RuntimeError(f"norm drifted to {norm!r} during Trotter evolution")

@@ -124,13 +124,24 @@ MAX_MODES = 64
 # Widest register: basis indices and Pauli masks are int64.
 MAX_QUBITS = 63
 
-# Peak bytes per register amplitude of a Trotter run: about 6.2 complex
-# statevectors of 16 bytes each (1675 MB measured at 24 qubits), rounded up.
+# Peak bytes per register amplitude of a Trotter run: an upper bound on the
+# 96 bytes (peak RSS 1541 MiB) measured for one step at 24 qubits (n_modes 6).
 # One blocked step of the 20-qubit pp-collision plan peaks at 98.6 bytes per
 # amplitude of numpy memory (tracemalloc): 16 the statevector, 42.6 the
 # compiled plan (phase vector, index table, coset unitaries) and 40 the step's
 # int64 index, (C, D, cols) gather and product.
 _TROTTER_BYTES_PER_AMP = 7 * 16
+
+# Peak bytes a run holds per output record (its metadata and CSV row), per
+# entry of a record's probability map (with the probabilities JSON) and per
+# amplitude of exact_evolve's (n_times, dim) output, rounded up from
+# tracemalloc peaks of run_scenario writing its files: 446-623 B per record
+# (rabi, nmax-study and pp-collision, exact), 1358-1521 B per map entry
+# (hardware-minimal at 6-12 qubits) and 33.5-42.1 B per amplitude inside
+# exact_evolve (sector dimensions 2-42, 10^4-10^5 times).
+_BYTES_PER_RECORD = 1 << 10
+_BYTES_PER_MAP_ENTRY = 2 << 10
+_BYTES_PER_EXACT_AMP = 48
 
 # Sweep axes in column order: (configuration key, CSV column).
 _AXES = (
@@ -384,6 +395,7 @@ def parse_config(text: str) -> ScenarioConfig:
     state_key = "initial_state" if cfg.initial_states is None else "initial_states"
     exactly = mode == "exact" or "transition_exact" in PRESETS[scenario].get("extra_columns", ())
     memory = _physical_memory()
+    dims = []  # sector dimension per register and start, 0 where not evolved exactly
     for _, config in cfg.registers():
         qubits = QubitLayout(config).total_qubits
         _require(qubits <= MAX_QUBITS, register_key,
@@ -401,6 +413,19 @@ def parse_config(text: str) -> ScenarioConfig:
             dim = len(sector_indices(config, k_of(state), q_of(state))) if exactly else 0
             message = f"sector dimension {dim} of {label!r} exceeds cap {SECTOR_DIM_CAP}"
             _require(dim <= SECTOR_DIM_CAP, state_key, message, PhysicsError)
+            dims.append(dim)
+    # the records and exact_evolve's arrays grow with the time grid, which
+    # _observation_times allocates in full
+    n_times = 1 if dt is None else round(t_max / dt) + (mode == "exact")
+    cells = n_times * len(cfg.lambdas or (0,)) * len(trotter_steps or (0,))
+    records = cells * len(dims)
+    need = records * _BYTES_PER_RECORD + n_times * max(dims) * _BYTES_PER_EXACT_AMP
+    if PRESETS[scenario].get("probabilities"):
+        need += cells * sum(dims) * _BYTES_PER_MAP_ENTRY
+    _require(not memory or need <= memory, "evolution",
+             f"{n_times} observation times make {records} records needing about "
+             f"{need / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB of physical memory",
+             PhysicsError)
     return cfg
 
 

@@ -5,6 +5,12 @@ are applied combinatorially with explicit Jordan-Wigner signs and momentum
 brackets are evaluated as exact fractions over the full index ranges.  No
 Pauli-string machinery is used anywhere, so agreement with the package's
 operator assembly checks both constructions at once.
+
+The Trotter reference steps a plan rotation by rotation over the whole
+register, applying each string letter by letter on the register reshaped to
+one axis per qubit.  It shares no code with the package's compiled evaluator
+(its phase vectors, coset blocks or rotation fallback), so agreement checks
+that evaluator's reassociation of the ordered rotation product.
 """
 
 from __future__ import annotations
@@ -245,6 +251,38 @@ class FockOracle:
         if include_inertias:
             out = out + g**2 * inertia
         return out
+
+
+def _apply_string(psi: np.ndarray, x: int, z: int) -> np.ndarray:
+    """The unit Pauli string (x, z) applied to a register tensor of shape (2,)*n.
+
+    Qubit q is axis q and bit n-1-q of the masks: X and Z bits both set make Y.
+    Each letter maps output bit j to input bit j ^ flip with the factor
+    X: 1, Z: (-1)**j, Y: -i * (-1)**j, the entries of its 2x2 matrix.
+    """
+    n = psi.ndim
+    letters = [((x >> (n - 1 - q)) & 1, (z >> (n - 1 - q)) & 1) for q in range(n)]
+    factor = np.ones(())
+    for q, (flip, sign) in enumerate(letters):
+        if sign:
+            entries = np.array([-1j, 1j] if flip else [1.0, -1.0])
+            factor = factor * entries.reshape((2,) + (1,) * (n - 1 - q))
+    return np.flip(psi, axis=tuple(q for q, (flip, _) in enumerate(letters) if flip)) * factor
+
+
+def trotter_reference(plan, psi0: np.ndarray) -> np.ndarray:
+    """The plan's ordered product, one rotation exp(-i*angle*P) at a time, for every step.
+
+    Each step applies ``plan.rotations`` in order as cos(angle) - i*sin(angle)*P on
+    the full register, then multiplies by ``plan.step_phase``.
+    """
+    n = plan.n_qubits
+    psi = np.asarray(psi0, dtype=complex).reshape((2,) * n)
+    for _ in range(plan.n_steps):
+        for x, z, angle in plan.rotations:
+            psi = math.cos(angle) * psi - (1j * math.sin(angle)) * _apply_string(psi, x, z)
+        psi = psi * plan.step_phase
+    return psi.reshape(-1)
 
 
 def rabi_transition(v: float, delta: float, times: np.ndarray) -> np.ndarray:

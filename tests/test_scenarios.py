@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfyukawa import diagnostics, fock, scenarios
+from lfyukawa import diagnostics, evolve, fock, scenarios
 from lfyukawa.cli import main
 from lfyukawa.evolve import NORM_TOL, exact_evolve, sample_counts
 from lfyukawa.fock import ModeConfig, QubitLayout
@@ -453,6 +453,33 @@ def test_register_guards_exit_2_before_allocation(tmp_path, capsys, monkeypatch)
     assert parse_config('{"scenario": "rabi", "n_modes": 10}').mode == "exact"
 
 
+def test_time_grid_guard_exits_2_before_allocation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenarios, "_physical_memory", lambda: 8 << 30)
+    monkeypatch.setattr(scenarios, "_observation_times", _refuse)
+    monkeypatch.setattr(scenarios, "exact_evolve", _refuse)
+    refused = [
+        (
+            {"scenario": "rabi", "evolution": {"mode": "exact", "t_max": 1e6, "dt": 1e-6}},
+            "evolution: 1000000000001 observation times make 1000000000001 records",
+        ),
+        (
+            {"scenario": "rabi", "evolution": {"mode": "trotter", "t_max": 1000.0, "dt": 1e-6}},
+            "evolution: 1000000000 observation times make 1000000000 records",
+        ),
+    ]
+    for doc, message in refused:
+        assert _run_cli(tmp_path, doc) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    # every preset and the benchmark's two configurations fit
+    for name in PRESETS:
+        parse_config(json.dumps({"scenario": name}))
+    parse_config('{"scenario": "coupling-sweep", "lambdas": [5.0], "shots": 8192}')
+    parse_config(
+        '{"scenario": "rabi", "n_modes": 5, "coupling": 13.315, "initial_state": "f4f5",'
+        ' "evolution": {"mode": "exact", "t_max": 0.4, "dt": 0.005}}'
+    )
+
+
 def test_sector_cap_exits_2_before_build_h(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "build_h", _refuse)
     doc = {"scenario": "rabi", "n_modes": 6, "initial_state": "000001 000001 00 00 00 00 00 10"}
@@ -491,6 +518,15 @@ def test_exact_runs_build_no_register_vector(tmp_path, monkeypatch):
     records, _, manifest, _ = results[2]
     assert manifest["qubits"] == 32 and manifest["sector_dim"] == 50
     assert all(r.leak_k == r.leak_q == 0.0 for r in records)
+
+
+def test_small_trotter_runs_step_the_compiled_plan(monkeypatch):
+    # the 12-qubit physical H compiles to phase vectors and coset blocks only, so a run
+    # that reached the rotation-by-rotation path would call _rotate
+    monkeypatch.setattr(evolve, "_rotate", _refuse)
+    doc = {"scenario": "trotter-study", "trotter_steps": [1, 2], "evolution": {"t_max": 0.1}}
+    records, _, manifest, _ = run_scenario(parse_config(json.dumps(doc)), write_files=False)
+    assert manifest["qubits"] == 12 and len(records) == 4
 
 
 def test_sector_readout_equals_register_readout():
