@@ -1,7 +1,7 @@
 """Two protons in modes 4+5 producing a pion pair (20 qubits, K = 9 sector).
 
 The full run Trotterizes 80 steps of 0.005 over a 14k-string Hamiltonian and
-takes several minutes; pass --quick to stop at t = 0.1.  The transition
+takes about a minute; pass --quick to stop at t = 0.1.  The transition
 probability tracks any state with two fermions and two boson quanta in the
 same (K, Q) sector, which is how pair-production yields would feed a cross
 section estimate.

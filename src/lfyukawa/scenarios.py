@@ -126,10 +126,11 @@ MAX_QUBITS = 63
 
 # Peak bytes per register amplitude of a Trotter run: an upper bound on the
 # 96 bytes (peak RSS 1541 MiB) measured for one step at 24 qubits (n_modes 6).
-# One blocked step of the 20-qubit pp-collision plan peaks at 98.6 bytes per
-# amplitude of numpy memory (tracemalloc): 16 the statevector, 42.6 the
-# compiled plan (phase vector, index table, coset unitaries) and 40 the step's
-# int64 index, (C, D, cols) gather and product.
+# One blocked step of the 20-qubit pp-collision plan peaks at 60.4 bytes per
+# amplitude of numpy memory (tracemalloc): 16 the statevector, 41.7 the
+# compiled plan (phase vector, index table, coset unitaries) and 2.7 the step's
+# int64 index, gather and product, each over one piece of the start's
+# reachable cosets rather than the whole register.
 _TROTTER_BYTES_PER_AMP = 7 * 16
 
 # Peak bytes a run holds per output record (its metadata and CSV row), per

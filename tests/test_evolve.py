@@ -1,3 +1,4 @@
+import json
 from functools import lru_cache, reduce
 from operator import xor
 
@@ -7,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from lfyukawa import scenarios
 from lfyukawa.diagnostics import leakage
 from lfyukawa.evolve import (
     _compile_plan,
+    _parity_checks,
+    _syndromes,
     exact_evolve,
     exp_pauli,
     make_plan,
@@ -315,6 +319,82 @@ def test_blocked_equals_sequential_on_random_sums(data, n, shape, n_steps, order
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(6, 11),
+    n_base=st.integers(2, 4),
+    shape=st.sampled_from([(3, 12, 24), (8, 1, 4)]),
+    n_steps=st.integers(1, 3),
+    order=st.sampled_from([1, 2]),
+    t=st.floats(0.01, 1.0),
+)
+def test_blocked_visits_only_the_reachable_cosets(data, n, n_base, shape, n_steps, order, t):
+    # flips from 2-4 base masks span at most 4 of n >= 6 dimensions, so there are at
+    # least 4 syndromes, and a psi0 on 1-3 basis states occupies at most 3 of them: the
+    # blocks skip the columns of the others, which must stay the reference's exact zeros
+    h = _random_real_sum(data.draw, n, *shape, n_base=n_base)
+    starts = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3, unique=True)
+    on = data.draw(starts, label="starts")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="psi seed"))
+    psi0 = np.zeros(1 << n, dtype=complex)
+    psi0[on] = rng.standard_normal(len(on)) + 1j * rng.standard_normal(len(on))
+    psi0 /= np.linalg.norm(psi0)
+    plan = make_plan(h, t, n_steps, order=order)
+    a = trotter_reference(plan, psi0)
+    b = trotter_evolve(plan, psi0)
+    assert np.max(np.abs(a - b)) < 1e-12
+    assert np.array_equal(a == 0, b == 0)
+    for seed in range(3):
+        assert sample_counts(a, 4096, seed) == sample_counts(b, 4096, seed)
+
+
+def _gf2_rank(masks) -> int:
+    basis: list[int] = []  # distinct leading bits, kept in decreasing order
+    for v in masks:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return len(basis)
+
+
+def test_parity_checks_are_independent_and_annihilate_the_flips():
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        for n_flips in range(2 * n + 1):
+            flips = [int(v) for v in rng.integers(0, 1 << n, n_flips)]
+            if n_flips > 2:  # a dependent flip
+                flips.append(flips[0] ^ flips[1])
+            checks = _parity_checks(flips, n)
+            assert all((h & x).bit_count() % 2 == 0 for h in checks for x in flips)
+            assert len(checks) == n - _gf2_rank(flips)
+            assert _gf2_rank(checks) == len(checks)
+
+
+def test_coupling_sweep_starts_fill_their_own_cosets(monkeypatch):
+    # the benchmark's plan (coupling-sweep at lambda 5): its flips span 14 of 16
+    # dimensions, so each start's coset holds a quarter of the register, all of which
+    # the ten steps reach and none of which they leave
+    runs = []
+
+    def evolve(plan, psi0, observer=None):
+        runs.append((plan, psi0, trotter_evolve(plan, psi0, observer)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(scenarios, "trotter_evolve", evolve)
+    doc = {"scenario": "coupling-sweep", "lambdas": [5.0], "seed": 11}
+    scenarios.run_scenario(scenarios.parse_config(json.dumps(doc)), write_files=False)
+    plan = runs[0][0]
+    assert len(runs) == 4 and all(p is plan for p, _, _ in runs)
+    assert plan.n_qubits == 16 and plan.n_steps == 10 and len(plan._checks) == 2
+    for _, psi0, psi in runs:
+        on = np.flatnonzero(psi)
+        [start] = _syndromes(np.flatnonzero(psi0), plan._checks)
+        assert on.size == 16384
+        assert np.all(_syndromes(on, plan._checks) == start)
+
+
 def test_blocked_compiles_both_segment_kinds():
     # flips on qubits 0-4, eight z masks with distinct parities on qubits 5-8: a "rots"
     # segment; flips on qubits 4-8 overflow the 8-qubit block and start a coset-blocked
@@ -344,7 +424,7 @@ def test_blocked_stacks_one_unitary_per_coset():
     psi0 = np.exp(1j * np.arange(1 << n)) / (1 << n) ** 0.5
     for order in (1, 2):
         plan = make_plan(h, 0.6, 3, order=order)
-        [(_, sup_off, _, slices)] = [s for s in _compile_plan(plan) if s[0] == "blk"]
+        [(_, sup_off, _, _, slices)] = [s for s in _compile_plan(plan) if s[0] == "blk"]
         assert sup_off.shape == (2, 4)
         assert [u.shape for _, _, u in slices] == [(2, 4, 4)] * 2
         a = trotter_reference(plan, psi0)

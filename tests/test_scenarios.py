@@ -337,11 +337,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 @pytest.mark.slow
 def test_coupling_sweep_reproduces_golden_rows(tmp_path):
     golden = (GOLDEN / "demo-coupling-sweep" / "coupling-sweep.csv").read_text().splitlines()
-    want = [golden[0]] + [row for row in golden[1:] if row.startswith("1,")]
-    assert len(want) == 5
+    # lambda 5 is the coupling the benchmark's coupling-sweep workload gates
+    want = [golden[0]] + [row for row in golden[1:] if row.startswith(("1,", "5,"))]
+    assert len(want) == 9
     doc = {
         "scenario": "coupling-sweep",
-        "lambdas": [1.0],
+        "lambdas": [1.0, 5.0],
         "seed": 11,
         "output_dir": str(tmp_path / "cs"),
     }
