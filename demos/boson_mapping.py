@@ -8,7 +8,7 @@ and combining gives the canonical string sum used everywhere else.
 
 import numpy as np
 
-from lfyukawa import ModeConfig, QubitLayout, boson_ladder, to_matrix
+from lfyukawa import ModeConfig, QubitLayout, boson_ladder, subspace_matrix
 from lfyukawa.pauli import boson_occupancy_raisers, dumps
 
 layout = QubitLayout(ModeConfig(1, 1, 1, (7,)))
@@ -23,9 +23,11 @@ print(f"\nas a canonical Pauli sum on the 5-qubit register: {len(ad)} strings")
 print(dumps(ad)[:400] + "\n...")
 
 dim = 8
-block = to_matrix(ad)[:dim, :dim].real
+# the matrix on the whole register: every basis index is in the span
+full = subspace_matrix(ad, np.arange(1 << layout.total_qubits), tol=np.inf)
+block = full[:dim, :dim].real
 print("\nmatrix elements <l+1| a_dagger |l> (should be sqrt(l+1), zero elsewhere):")
 for level in range(7):
     print(f"  l={level}: {block[level + 1, level]:.6f}  (sqrt = {np.sqrt(level + 1):.6f})")
-print(f"\naction on the full mode |7>: column norm = {np.linalg.norm(to_matrix(ad)[:, 7]):.1e}"
+print(f"\naction on the full mode |7>: column norm = {np.linalg.norm(full[:, 7]):.1e}"
       "  (truncation: creating on a full mode gives zero)")

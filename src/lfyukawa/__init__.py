@@ -22,14 +22,12 @@ from .pauli import (
     PauliString,
     PauliSum,
     adjoint,
-    apply,
     boson_ladder,
     canonicalize,
     commutator,
     fermion_ladder,
     product,
     subspace_matrix,
-    to_matrix,
 )
 from .hamiltonian import (
     PARTS,
@@ -44,7 +42,6 @@ from .evolve import (
     PlanCost,
     TrotterPlan,
     exact_evolve,
-    exp_pauli,
     make_plan,
     plan_cost,
     sample_counts,
@@ -52,7 +49,6 @@ from .evolve import (
 )
 from .diagnostics import (
     EvolutionRecord,
-    expectation,
     leakage,
     records_to_csv,
     survival,
@@ -81,14 +77,12 @@ __all__ = [
     "PauliString",
     "PauliSum",
     "adjoint",
-    "apply",
     "boson_ladder",
     "canonicalize",
     "commutator",
     "fermion_ladder",
     "product",
     "subspace_matrix",
-    "to_matrix",
     "PARTS",
     "ModelParams",
     "bracket",
@@ -99,13 +93,11 @@ __all__ = [
     "PlanCost",
     "TrotterPlan",
     "exact_evolve",
-    "exp_pauli",
     "make_plan",
     "plan_cost",
     "sample_counts",
     "trotter_evolve",
     "EvolutionRecord",
-    "expectation",
     "leakage",
     "records_to_csv",
     "survival",

@@ -14,14 +14,12 @@ from typing import Iterable
 import numpy as np
 
 from .fock import FockState, QubitLayout, charge_tables
-from .pauli import PauliSum, apply
 
 __all__ = [
     "EvolutionRecord",
     "survival",
     "transition_prob",
     "leakage",
-    "expectation",
     "records_to_csv",
 ]
 
@@ -51,15 +49,6 @@ def leakage(psi_t: np.ndarray, K0: int, Q0: int, layout: QubitLayout) -> tuple[f
     leak_k = float(probs[k_arr != K0].sum())
     leak_q = float(probs[q_arr != Q0].sum())
     return leak_k, leak_q
-
-
-def expectation(op: PauliSum, psi: np.ndarray) -> float:
-    """<psi|op|psi> for a Hermitian operator; the residual imaginary part is checked."""
-    value = complex(np.vdot(psi, apply(op, psi)))
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > 1e-9 * scale:
-        raise ValueError(f"operator is not Hermitian on this state (Im = {value.imag:.3e})")
-    return value.real
 
 
 @dataclass

@@ -18,28 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .fock import enumerate_sector  # noqa: F401  bench/spans.py wraps the name here
-from .pauli import (
-    COMPARE_TOL,
-    PauliString,
-    PauliSum,
-    _PHASES,
-    _index_array,
-    _letters_to_masks,
-    _term_phase,
-    subspace_matrix,
-)
+from .pauli import COMPARE_TOL, PauliSum, _PHASES, subspace_matrix
 
 __all__ = [
     "SECTOR_DIM_CAP",
     "NORM_TOL",
     "TrotterPlan",
     "PlanCost",
-    "exp_pauli",
     "exact_evolve",
     "make_plan",
     "trotter_evolve",
@@ -49,6 +39,22 @@ __all__ = [
 
 SECTOR_DIM_CAP = 4096
 NORM_TOL = 1e-9  # largest norm drift a Trotter evolution may show
+
+
+@lru_cache(maxsize=8)
+def _index_array(n_qubits: int) -> np.ndarray:
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    idx.setflags(write=False)
+    return idx
+
+
+def _term_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
+    """Per-source-index phase of a unit string: i**nY * (-1)**popcount(i & z)."""
+    eta = _PHASES[(x & z).bit_count() & 3]
+    if z == 0:
+        return np.full(idx.shape, eta)
+    par = (np.bitwise_count(idx & z) & 1).astype(np.int8)
+    return eta * (1.0 - 2.0 * par)
 
 
 def _rotate(psi: np.ndarray, x: int, z: int, theta: float) -> np.ndarray:
@@ -64,16 +70,6 @@ def _rotate(psi: np.ndarray, x: int, z: int, theta: float) -> np.ndarray:
         psi *= c
         psi -= (1j * s) * g[idx ^ x]
     return psi
-
-
-def exp_pauli(term: PauliString, theta: float, psi: np.ndarray) -> np.ndarray:
-    """exp(-i * theta * term) applied to psi; the real coefficient scales the angle."""
-    if abs(term.coeff.imag) > 1e-12:
-        raise ValueError("Pauli rotation requires a Hermitian term (real coefficient)")
-    if psi.shape != (1 << term.n_qubits,):
-        raise ValueError("statevector length does not match the term's register")
-    x, z = _letters_to_masks(term.letters)
-    return _rotate(psi.astype(complex, copy=True), x, z, theta * term.coeff.real)
 
 
 # -- exact evolution -------------------------------------------------------------
@@ -315,8 +311,9 @@ def _compile_block(run: list, n: int, union: int, checks):
     # the plan's syndrome of an index is that of its support part, the same for a whole
     # coset, XOR that of its rest part: sorted by both, the columns of one syndrome in a
     # group of cosets and a signature slice form a pair of contiguous ranges
-    order = np.lexsort((_syndromes(rest_off, checks), sig))
-    rest_off, sig = rest_off[order], sig[order]
+    rest_syn = _syndromes(rest_off, checks)
+    order = np.lexsort((rest_syn, sig))
+    rest_off, sig, rest_syn = rest_off[order], sig[order], rest_syn[order]
     coset_syn = _syndromes(sup_off[:, 0], checks)
     by_coset = np.argsort(coset_syn, kind="stable")
     sup_off = sup_off[by_coset]
@@ -340,27 +337,28 @@ def _compile_block(run: list, n: int, union: int, checks):
         pu = (phase[:, :, None] * u)[:, :, tidx ^ coord[xl]]
         u = c * u - 1j * sn * pu
     u = u[:, by_coset]
-    slices = [(bounds[k], bounds[k + 1], u[k]) for k in range(len(present))]
+    # per signature slice, its stack and the (rest syndrome, first, end) of each column range
+    slices = []
+    for lo, hi, u_sig in zip(bounds, bounds[1:], u):
+        rest_syns, firsts = np.unique(rest_syn[lo:hi], return_index=True)
+        firsts = (firsts + lo).tolist()
+        slices.append((tuple(zip(rest_syns.tolist(), firsts, firsts[1:] + [hi])), u_sig))
     return ("blk", sup_off, rest_off, groups, slices)
 
 
-def _reachable(segment, wanted: np.ndarray, checks):
+def _reachable(segment, wanted: set[int]):
     """A segment cut to the columns whose syndrome is in ``wanted``: blocks become the
     list of their (coset rows, column offsets, unitaries) pieces, the rest stays whole."""
     if segment[0] != "blk":
         return segment
     _, sup_off, rest_off, groups, slices = segment
-    rest_syn = _syndromes(rest_off, checks)
-    pieces = []
-    for c0, c1, syn in groups:
-        for lo, hi, u in slices:
-            keep = np.isin(rest_syn[lo:hi] ^ syn, wanted).view(np.int8)
-            edges = np.flatnonzero(np.diff(keep, prepend=0, append=0)) + lo
-            pieces += [
-                (sup_off[c0:c1, :, None], rest_off[r0:r1], u[c0:c1])
-                for r0, r1 in edges.reshape(-1, 2).tolist()
-            ]
-    return ("blk", pieces)
+    return ("blk", [
+        (sup_off[c0:c1, :, None], rest_off[r0:r1], u[c0:c1])
+        for c0, c1, coset_syn in groups
+        for ranges, u in slices
+        for rest_syn, r0, r1 in ranges
+        if coset_syn ^ rest_syn in wanted
+    ])
 
 
 def _apply_segment(segment, psi: np.ndarray) -> np.ndarray:
@@ -389,13 +387,13 @@ def trotter_evolve(plan: TrotterPlan, psi0: np.ndarray, observer=None) -> np.nda
     under the plan's parity checks, so the blocks visit only the columns whose
     syndrome is that of a nonzero amplitude of psi0; every other amplitude is
     and stays exactly zero.  The product equals the ordered rotation product up
-    to round-off, with the same exactly zero amplitudes.
+    to round-off, and the skipped amplitudes are exact zeros in both.
     """
     if psi0.shape != (1 << plan.n_qubits,):
         raise ValueError("statevector length does not match the plan's register")
     psi = psi0.astype(complex, copy=True)
-    wanted = np.unique(_syndromes(np.flatnonzero(psi), plan._checks))
-    segments = [_reachable(segment, wanted, plan._checks) for segment in plan._compiled]
+    wanted = set(np.unique(_syndromes(np.flatnonzero(psi), plan._checks)).tolist())
+    segments = [_reachable(segment, wanted) for segment in plan._compiled]
     for step in range(plan.n_steps):
         for segment in segments:
             _apply_segment(segment, psi)
@@ -411,15 +409,18 @@ def trotter_evolve(plan: TrotterPlan, psi0: np.ndarray, observer=None) -> np.nda
 def sample_counts(psi, shots: int, seed: int, indices=None, n_qubits: int = 0) -> dict[str, int]:
     """Multinomial readout histogram over basis bitstrings, reproducible per seed.
 
-    psi is a register statevector, or with ``indices`` the amplitudes on those increasing
-    basis indices of an ``n_qubits`` register (ValueError if an index is wider), where
-    zero probabilities would draw nothing.
+    psi is a register statevector, or with ``indices`` the amplitudes on those strictly
+    increasing basis indices of an ``n_qubits`` register (ValueError if an index is wider,
+    out of order or not one per amplitude), where zero probabilities would draw nothing.
+    Unsorted indices would reorder the multinomial's categories and so its draws.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     n = int(psi.size).bit_length() - 1 if indices is None else n_qubits
     if indices is not None:
         indices = np.asarray(indices)
+        if indices.shape != np.shape(psi) or np.any(np.diff(indices) <= 0):
+            raise ValueError("indices must be strictly increasing, one per amplitude")
         if int(indices.max(initial=0)).bit_length() > n:
             raise ValueError(f"basis index {int(indices.max())} does not fit in {n} qubits")
     probs = np.abs(psi) ** 2

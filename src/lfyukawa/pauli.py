@@ -2,7 +2,7 @@
 
 Strings are stored internally as ``(x, z)`` bit-mask pairs (qubit ``q`` maps to
 bit ``n-1-q`` so masks align with basis-index bits): ``I=(0,0)``, ``X=(1,0)``,
-``Y=(1,1)``, ``Z=(0,1)``.  Products, adjoints and statevector action then
+``Y=(1,1)``, ``Z=(0,1)``.  Products, adjoints and sector matrices then
 reduce to XOR, popcount and sign bookkeeping.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -20,15 +19,12 @@ from .fock import QubitLayout
 __all__ = [
     "DEFAULT_TOL",
     "COMPARE_TOL",
-    "MATRIX_QUBIT_CAP",
     "PauliString",
     "PauliSum",
     "canonicalize",
     "product",
     "commutator",
     "adjoint",
-    "apply",
-    "to_matrix",
     "subspace_matrix",
     "fermion_ladder",
     "boson_ladder",
@@ -42,7 +38,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12  # coefficients at or below this are dropped
 COMPARE_TOL = 1e-10  # coefficient agreement in equality and Hermiticity checks
-MATRIX_QUBIT_CAP = 14
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k
 
@@ -246,50 +241,7 @@ def adjoint(a: PauliSum) -> PauliSum:
     return PauliSum(a.n_qubits, {k: c.conjugate() for k, c in a._terms.items()})
 
 
-# -- statevector action --------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _index_array(n_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    idx.setflags(write=False)
-    return idx
-
-
-def _term_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
-    """Per-source-index phase of a unit string: i**nY * (-1)**popcount(i & z)."""
-    eta = _PHASES[(x & z).bit_count() & 3]
-    if z == 0:
-        return np.full(idx.shape, eta)
-    par = (np.bitwise_count(idx & z) & 1).astype(np.int8)
-    return eta * (1.0 - 2.0 * par)
-
-
-def apply(op: PauliSum, psi: np.ndarray) -> np.ndarray:
-    """Linear action of the sum on a statevector, without materializing matrices."""
-    n = op.n_qubits
-    dim = 1 << n
-    if psi.shape != (dim,):
-        raise ValueError(f"statevector length {psi.shape} does not match {n} qubits")
-    idx = _index_array(n)
-    out = np.zeros(dim, dtype=complex)
-    for (x, z), c in op._terms.items():
-        g = (c * _term_phase(idx, x, z)) * psi
-        out += g[idx ^ x] if x else g
-    return out
-
-
-def to_matrix(op: PauliSum) -> np.ndarray:
-    """Dense matrix of the sum; capped register size, intended for oracles."""
-    n = op.n_qubits
-    if n > MATRIX_QUBIT_CAP:
-        raise ValueError(f"to_matrix supports at most {MATRIX_QUBIT_CAP} qubits, got {n}")
-    dim = 1 << n
-    idx = _index_array(n)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for (x, z), c in op._terms.items():
-        mat[idx ^ x, idx] += c * _term_phase(idx, x, z)
-    return mat
+# -- sector matrices -----------------------------------------------------------
 
 
 def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> np.ndarray:

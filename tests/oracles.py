@@ -11,6 +11,12 @@ register, applying each string letter by letter on the register reshaped to
 one axis per qubit.  It shares no code with the package's compiled evaluator
 (its phase vectors, coset blocks or rotation fallback), so agreement checks
 that evaluator's reassociation of the ordered rotation product.
+
+The register references ``apply``, ``to_matrix`` and ``expectation`` read each
+term of a Pauli sum through its public letters and build the string's action
+as a Kronecker product of one factor per letter, so they share no phase code
+with the package either; the package itself only acts on a register in its
+Trotter evaluator.
 """
 
 from __future__ import annotations
@@ -283,6 +289,58 @@ def trotter_reference(plan, psi0: np.ndarray) -> np.ndarray:
             psi = math.cos(angle) * psi - (1j * math.sin(angle)) * _apply_string(psi, x, z)
         psi = psi * plan.step_phase
     return psi.reshape(-1)
+
+
+MATRIX_QUBIT_CAP = 14
+
+# out[j] = factor * in[j ^ flip] per letter, indexed by the output bit j
+_LETTER_ACTION = {"I": (0, (1, 1)), "X": (1, (1, 1)), "Y": (1, (-1j, 1j)), "Z": (0, (1, -1))}
+
+
+def _string_action(letters: str) -> tuple[int, np.ndarray]:
+    """(flip mask, per-output-index factor) of a unit string, qubit 0 the leftmost letter."""
+    flip = 0
+    factor = np.ones(1, dtype=complex)
+    for ch in letters:
+        bit, entries = _LETTER_ACTION[ch]
+        flip = flip << 1 | bit
+        factor = np.kron(factor, np.array(entries, dtype=complex))
+    return flip, factor
+
+
+def apply(op, psi: np.ndarray) -> np.ndarray:
+    """Linear action of a Pauli sum on a statevector, one term at a time."""
+    dim = 1 << op.n_qubits
+    if psi.shape != (dim,):
+        raise ValueError(f"statevector length {psi.shape} does not match {op.n_qubits} qubits")
+    idx = np.arange(dim)
+    out = np.zeros(dim, dtype=complex)
+    for term in op.terms:
+        flip, factor = _string_action(term.letters)
+        out += (term.coeff * factor) * psi[idx ^ flip]
+    return out
+
+
+def to_matrix(op) -> np.ndarray:
+    """Dense matrix of a Pauli sum on at most MATRIX_QUBIT_CAP qubits."""
+    n = op.n_qubits
+    if n > MATRIX_QUBIT_CAP:
+        raise ValueError(f"to_matrix supports at most {MATRIX_QUBIT_CAP} qubits, got {n}")
+    idx = np.arange(1 << n)
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    for term in op.terms:
+        flip, factor = _string_action(term.letters)
+        mat[idx, idx ^ flip] += term.coeff * factor
+    return mat
+
+
+def expectation(op, psi: np.ndarray) -> float:
+    """<psi|op|psi> for a Hermitian operator; the residual imaginary part is checked."""
+    value = complex(np.vdot(psi, apply(op, psi)))
+    scale = max(1.0, abs(value))
+    if abs(value.imag) > 1e-9 * scale:
+        raise ValueError(f"operator is not Hermitian on this state (Im = {value.imag:.3e})")
+    return value.real
 
 
 def rabi_transition(v: float, delta: float, times: np.ndarray) -> np.ndarray:

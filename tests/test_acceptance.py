@@ -42,11 +42,10 @@ from lfyukawa.pauli import (
     sigma_minus,
     sigma_plus,
     subspace_matrix,
-    to_matrix,
 )
 from lfyukawa.scenarios import parse_config, run_scenario
 
-from oracles import FockOracle, rabi_transition
+from oracles import FockOracle, rabi_transition, to_matrix
 
 
 @contextmanager

@@ -3,7 +3,6 @@ import pytest
 
 from lfyukawa.diagnostics import (
     EvolutionRecord,
-    expectation,
     leakage,
     records_to_csv,
     survival,
@@ -13,6 +12,8 @@ from lfyukawa.evolve import exact_evolve
 from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector, sector_indices
 from lfyukawa.hamiltonian import ModelParams, build_charge, build_h
 from lfyukawa.pauli import PauliString, canonicalize
+
+from oracles import expectation
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,9 @@ from lfyukawa.hamiltonian import (
     build_part,
     self_inertia,
 )
-from lfyukawa.pauli import adjoint, commutator, dumps, subspace_matrix, to_matrix
+from lfyukawa.pauli import adjoint, commutator, dumps, subspace_matrix
 
-from oracles import FockOracle, bracket_exact, inertia_exact
+from oracles import FockOracle, bracket_exact, inertia_exact, to_matrix
 
 
 def test_bracket_reference_values():

@@ -10,7 +10,6 @@ from lfyukawa.pauli import (
     PauliString,
     PauliSum,
     adjoint,
-    apply,
     boson_ladder,
     canonicalize,
     commutator,
@@ -23,8 +22,9 @@ from lfyukawa.pauli import (
     sigma_minus,
     sigma_plus,
     subspace_matrix,
-    to_matrix,
 )
+
+from oracles import apply, to_matrix
 
 _MATS = {
     "I": np.eye(2),

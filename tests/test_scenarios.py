@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -551,3 +552,18 @@ def test_sector_readout_equals_register_readout():
                     assert _sampled_fraction(amp, start.indices, hits, layout, 1000, seed) == (
                         _sampled_fraction(psi, None, hits, layout, 1000, seed)
                     )
+
+
+def test_benchmark_tracer_installs_and_restores_every_name():
+    # the traced benchmark run wraps lfyukawa functions at their module attributes; a
+    # name it wraps that the package drops must fail here, not in the traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer("test")
+    tracer.install()
+    patches = list(tracer._patches)
+    assert patches and all(getattr(owner, attr) is not fn for owner, attr, fn in patches)
+    tracer.uninstall()
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in patches)
