@@ -7,6 +7,8 @@ element, which vanishes whenever a transition would violate a charge), so the
 algorithmic error lives entirely inside the allowed sector.
 """
 
+import numpy as np
+
 from lfyukawa import (
     FockState,
     ModeConfig,
@@ -37,7 +39,7 @@ print("\n n_T   P(target)   |dev|       leak_K      leak_Q")
 for n_steps in range(1, 11):
     psi = trotter_evolve(make_plan(h, t, n_steps), psi0)
     p = abs(psi[indices[1]]) ** 2
-    leak_k, leak_q = leakage(psi, 2, 1, layout)
+    leak_k, leak_q = leakage(psi, np.arange(psi.size), 2, 1, layout)
     print(f"  {n_steps:2d}   {p:.6f}   {abs(p - p_exact):.2e}   {leak_k:.2e}   {leak_q:.2e}")
 
 c1 = plan_cost(make_plan(h, t, 10, order=1))

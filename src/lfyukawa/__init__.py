@@ -12,7 +12,7 @@ from .fock import (
     FockState,
     ModeConfig,
     QubitLayout,
-    charge_tables,
+    charges,
     enumerate_sector,
     k_of,
     q_of,
@@ -69,7 +69,7 @@ __all__ = [
     "FockState",
     "ModeConfig",
     "QubitLayout",
-    "charge_tables",
+    "charges",
     "enumerate_sector",
     "k_of",
     "q_of",

@@ -1,8 +1,9 @@
 """Observables over evolved states: survival, transitions, charge leakage.
 
-Leakage reports the probability mass on basis states whose K (resp. Q)
-differs from the initial sector; a state violating both charges counts in
-both numbers, mirroring how the two error curves are plotted separately.
+Each reads amplitudes on sorted basis indices.  Leakage reports the probability
+mass on basis states whose K (resp. Q) differs from the initial sector; a state
+violating both charges counts in both numbers, mirroring how the two error
+curves are plotted separately.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fock import FockState, QubitLayout, charge_tables
+from .fock import QubitLayout, charges
 
 __all__ = [
     "EvolutionRecord",
@@ -31,24 +32,19 @@ def survival(psi_t: np.ndarray, psi0: np.ndarray) -> float:
     return float(abs(np.vdot(psi0, psi_t)) ** 2)
 
 
-def transition_prob(
-    psi_t: np.ndarray, targets: Iterable[FockState | int], layout: QubitLayout
-) -> float:
-    """Total probability on the target basis states, given as FockStates or indices."""
+def transition_prob(amp: np.ndarray, positions: Iterable[int]) -> float:
+    """Total probability on the given positions of the amplitude vector."""
     total = 0.0
-    for target in targets:
-        index = layout.encode(target) if isinstance(target, FockState) else target
-        total += float(abs(psi_t[index]) ** 2)
+    for p in positions:
+        total += float(abs(amp[p]) ** 2)
     return total
 
 
-def leakage(psi_t: np.ndarray, K0: int, Q0: int, layout: QubitLayout) -> tuple[float, float]:
-    """(probability off the K=K0 shell, probability off the Q=Q0 shell)."""
-    k_arr, q_arr = charge_tables(layout)
-    probs = np.abs(psi_t) ** 2
-    leak_k = float(probs[k_arr != K0].sum())
-    leak_q = float(probs[q_arr != Q0].sum())
-    return leak_k, leak_q
+def leakage(amp, indices, K0: int, Q0: int, layout: QubitLayout) -> tuple[float, float]:
+    """(probability off the K=K0 shell, off the Q=Q0 shell) of amp on the basis indices."""
+    k, q = charges(layout, indices)
+    probs = np.abs(amp) ** 2
+    return float(probs[k != K0].sum()), float(probs[q != Q0].sum())
 
 
 @dataclass

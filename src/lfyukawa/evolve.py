@@ -406,30 +406,31 @@ def trotter_evolve(plan: TrotterPlan, psi0: np.ndarray, observer=None) -> np.nda
     return psi
 
 
-def sample_counts(psi, shots: int, seed: int, indices=None, n_qubits: int = 0) -> dict[str, int]:
+def sample_counts(amp, shots: int, seed: int, indices, n_qubits: int) -> dict[str, int]:
     """Multinomial readout histogram over basis bitstrings, reproducible per seed.
 
-    psi is a register statevector, or with ``indices`` the amplitudes on those strictly
-    increasing basis indices of an ``n_qubits`` register (ValueError if an index is wider,
-    out of order or not one per amplitude), where zero probabilities would draw nothing.
-    Unsorted indices would reorder the multinomial's categories and so its draws.
+    amp holds the amplitudes on the strictly increasing basis ``indices`` of an
+    ``n_qubits`` register (ValueError if an index is wider, out of order or not one per
+    amplitude).  numpy's multinomial draws one binomial per category in order and draws
+    nothing for a zero-probability category, so a register vector read on its nonzero
+    entries and their indices gives the draws of the whole register.  Unsorted indices
+    would reorder the categories and so the draws.  The draws are discontinuous at ties:
+    category j is a binomial of p_j / (p_j + p_(j+1) + ...), drawn as its complement once
+    that passes 1/2, so two tied probabilities computed one ulp apart can swap counts.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    n = int(psi.size).bit_length() - 1 if indices is None else n_qubits
-    if indices is not None:
-        indices = np.asarray(indices)
-        if indices.shape != np.shape(psi) or np.any(np.diff(indices) <= 0):
-            raise ValueError("indices must be strictly increasing, one per amplitude")
-        if int(indices.max(initial=0)).bit_length() > n:
-            raise ValueError(f"basis index {int(indices.max())} does not fit in {n} qubits")
-    probs = np.abs(psi) ** 2
+    indices = np.asarray(indices)
+    if indices.shape != np.shape(amp) or np.any(np.diff(indices) <= 0):
+        raise ValueError("indices must be strictly increasing, one per amplitude")
+    if int(indices.max(initial=0)).bit_length() > n_qubits:
+        raise ValueError(f"basis index {int(indices.max())} does not fit in {n_qubits} qubits")
+    probs = np.abs(amp) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs)
     hits = np.nonzero(counts)[0]
-    labels = hits if indices is None else indices[hits]
-    return {format(int(i), f"0{n}b"): int(c) for i, c in zip(labels, counts[hits])}
+    return {format(int(i), f"0{n_qubits}b"): int(c) for i, c in zip(indices[hits], counts[hits])}
 
 
 @dataclass(frozen=True)

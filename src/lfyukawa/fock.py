@@ -11,7 +11,6 @@ occupancy in big-endian binary, so occupancy 1 with a 3-qubit block reads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +22,7 @@ __all__ = [
     "q_of",
     "sector_indices",
     "enumerate_sector",
-    "charge_tables",
+    "charges",
 ]
 
 
@@ -260,30 +259,24 @@ def enumerate_sector(config: ModeConfig, K: int, Q: int) -> list[FockState]:
     return list(map(QubitLayout(config).decode, sector_indices(config, K, Q).tolist()))
 
 
-@lru_cache(maxsize=16)
-def _charge_tables_cached(config: ModeConfig) -> tuple[np.ndarray, np.ndarray]:
-    layout = QubitLayout(config)
-    n = layout.total_qubits
-    idx = np.arange(1 << n, dtype=np.int64)
-    k = np.zeros(idx.shape, dtype=np.int16)
-    q = np.zeros(idx.shape, dtype=np.int16)
-    for mode in range(1, config.n_fermion_modes + 1):
-        occ = (idx >> (n - 1 - layout.fermion_qubit(mode))) & 1
-        k += mode * occ
-        q += occ
-    for mode in range(1, config.n_antifermion_modes + 1):
-        occ = (idx >> (n - 1 - layout.antifermion_qubit(mode))) & 1
-        k += mode * occ
-        q -= occ
-    for mode in range(1, config.n_boson_modes + 1):
-        start, width = layout.boson_block(mode)
-        occ = (idx >> (n - start - width)) & ((1 << width) - 1)
-        k += mode * occ
-    k.setflags(write=False)
-    q.setflags(write=False)
+def charges(layout: QubitLayout, indices) -> tuple[np.ndarray, np.ndarray]:
+    """K and Q of each basis index, as int64 arrays of the indices' shape.
+
+    Both are linear in the register bits: a fermion or antifermion qubit of mode m weighs
+    m in K, and qubit j of mode m's w-qubit boson block weighs m * 2**(w-1-j).  So K is
+    one masked popcount per bit-plane of those weights, and Q counts the fermion bits
+    minus the antifermion bits.
+    """
+    nf, na = layout.config.n_fermion_modes, layout.config.n_antifermion_modes
+    weights = [*range(1, nf + 1), *range(1, na + 1)]  # K weight of each qubit, in order
+    for mode, width in enumerate(layout.boson_widths, start=1):
+        weights += [mode << (width - 1 - j) for j in range(width)]
+    mask = lambda qubits: sum(layout._bit(q) for q in qubits)
+    idx = np.asarray(indices, dtype=np.int64)
+    popcount = lambda m: np.bitwise_count(idx & m).astype(np.int64)
+    k = sum(
+        popcount(mask(q for q, w in enumerate(weights) if w >> b & 1)) << b
+        for b in range(max(weights).bit_length())
+    )
+    q = popcount(mask(range(nf))) - popcount(mask(range(nf, nf + na)))
     return k, q
-
-
-def charge_tables(layout: QubitLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Per-basis-index K and Q over the whole register (read-only arrays)."""
-    return _charge_tables_cached(layout.config)

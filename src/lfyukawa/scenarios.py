@@ -504,27 +504,29 @@ def _observation_times(cfg: ScenarioConfig) -> np.ndarray:
     return grid if cfg.mode == "exact" else grid[1:]
 
 
-def _sampled_fraction(psi, basis, hits, layout, shots: int, *seed_key) -> float:
+def _sampled_fraction(amp, basis, hits, layout, shots: int, *seed_key) -> float:
     """Fraction of the shots that read out one of the basis indices in hits."""
     text = json.dumps(list(seed_key), sort_keys=True)
     seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
     width = layout.total_qubits
-    counts = sample_counts(psi, shots, seed, basis, width)
+    counts = sample_counts(amp, shots, seed, basis, width)
     return sum(counts.get(format(int(i), f"0{width}b"), 0) for i in hits) / shots
 
 
 def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
-    """Evolve every start under h; ``emit(k, j, amp, psi, meta)`` sees start k at times[j].
+    """Evolve every start under h; ``emit(k, j, amp, readout, meta)`` sees start k at times[j].
 
-    amp is on the start's sector basis and psi the register vector (None in exact runs,
-    which diagonalize each sector once for all times).  Trotter runs share one plan of
-    n_t steps over t_max between the starts and observe its last len(times) steps;
-    with ``trotter_steps`` each time gets its own plan of n_t steps, observed at its end.
+    amp is on the start's sector basis.  readout, the amplitudes and sorted basis indices
+    that leakage and shots read, is (amp, sector indices) in exact runs, which diagonalize
+    each sector once for all times, and the register's nonzero entries with their indices
+    in Trotter runs.  Trotter runs share one plan of n_t steps over t_max between the
+    starts and observe its last len(times) steps; with ``trotter_steps`` each time gets
+    its own plan of n_t steps, observed at its end.
     """
     if cfg.mode == "exact":
         for k, s in enumerate(starts):
             for j, amp in enumerate(exact_evolve(h, s.amp0, times, s.indices)):
-                emit(k, j, amp, None, {})
+                emit(k, j, amp, (amp, s.indices), {})
         return
     # built before the plans: allocated after plan compilation they add a vector to peak RSS
     psi0s = [layout.basis_vector(s.index) for s in starts]
@@ -539,7 +541,8 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
 
             def observer(step, psi, k=k, s=s):
                 if step > first:
-                    emit(k, observed[step - first - 1], psi[s.indices], psi, dict(meta))
+                    nz = np.flatnonzero(psi)
+                    emit(k, observed[step - first - 1], psi[s.indices], (psi[nz], nz), dict(meta))
 
             trotter_evolve(plan, psi0s[k], observer=observer)
 
@@ -568,22 +571,22 @@ def _run_grid(cfg: ScenarioConfig):
             exact = None  # exact transition per (start, time) next to a Trotter run
             if with_exact and cfg.mode == "trotter":
                 exact = [
-                    [transition_prob(amp, s.targets, layout)
+                    [transition_prob(amp, s.targets)
                      for amp in exact_evolve(h, s.amp0, times, s.indices)]
                     for s in starts
                 ]
             for n_t in cfg.trotter_steps or (cfg.n_steps,):
                 rows = [[] for _ in starts]
 
-                def emit(k, j, amp, psi, meta):
+                def emit(k, j, amp, readout, meta):
                     start = starts[k]
                     cell = {"n_max": n_max, "lambda": lam, "n_trotter": n_t, "state": start.label}
                     key = [cell[c] for c in sweep_cols]
                     meta.update(zip(sweep_cols, key))
-                    leak = (0.0, 0.0) if psi is None else leakage(psi, start.K, start.Q, layout)
                     rec = EvolutionRecord(
                         float(times[j]), survival(amp, start.amp0),
-                        transition_prob(amp, start.targets, layout), *leak, metadata=meta,
+                        transition_prob(amp, start.targets),
+                        *leakage(*readout, start.K, start.Q, layout), metadata=meta,
                     )
                     if with_exact:
                         meta["transition_exact"] = rec.transition if exact is None else exact[k][j]
@@ -593,7 +596,6 @@ def _run_grid(cfg: ScenarioConfig):
                         hits = [start.index]
                         if sampled == "transition_sampled":
                             hits = start.indices[start.targets]
-                        readout = (amp, start.indices) if psi is None else (psi, None)
                         meta[sampled] = _sampled_fraction(
                             *readout, hits, layout, cfg.shots, cfg.seed, cfg.scenario, *key
                         )

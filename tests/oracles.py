@@ -17,6 +17,9 @@ term of a Pauli sum through its public letters and build the string's action
 as a Kronecker product of one factor per letter, so they share no phase code
 with the package either; the package itself only acts on a register in its
 Trotter evaluator.
+
+The charge reference decodes every register index into its occupancies and
+counts K and Q on them, with none of the package's bit-plane arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lfyukawa.fock import FockState, ModeConfig
+from lfyukawa.fock import FockState, ModeConfig, k_of, q_of
 
 
 def bracket_exact(n: int, m: int) -> Fraction:
@@ -341,6 +344,12 @@ def expectation(op, psi: np.ndarray) -> float:
     if abs(value.imag) > 1e-9 * scale:
         raise ValueError(f"operator is not Hermitian on this state (Im = {value.imag:.3e})")
     return value.real
+
+
+def charge_reference(layout) -> tuple[np.ndarray, np.ndarray]:
+    """K and Q of every register index, from its decoded occupancies."""
+    states = [layout.decode(i) for i in range(1 << layout.total_qubits)]
+    return np.array([k_of(s) for s in states]), np.array([q_of(s) for s in states])
 
 
 def rabi_transition(v: float, delta: float, times: np.ndarray) -> np.ndarray:

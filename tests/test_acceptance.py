@@ -192,8 +192,9 @@ def test_c04_charge_conservation_algebraic_and_dynamic():
             FockState((1, 0, 0), (1, 0, 0), (0, 1, 0)),
         ):
             psi0 = layout.basis_vector(state0)
-            psi = _exact_on_register(h, psi0, 0.2, (k_of(state0), q_of(state0)), layout)
-            leak_k, leak_q = leakage(psi, k_of(state0), q_of(state0), layout)
+            k0, q0 = k_of(state0), q_of(state0)
+            psi = _exact_on_register(h, psi0, 0.2, (k0, q0), layout)
+            leak_k, leak_q = leakage(psi, np.arange(psi.size), k0, q0, layout)
             assert leak_k < 1e-10 and leak_q < 1e-10
 
 
@@ -329,7 +330,9 @@ def test_c07_fermion_antifermion_symmetry(coupling_sweep_states):
             samples = {}
             for i, name in enumerate(("f2", "fbar2")):
                 _, _, psi, index = per_state[name]
-                counts = sample_counts(psi, shots, seed=9000 + int(lam) * 10 + i)
+                counts = sample_counts(
+                    psi, shots, 9000 + int(lam) * 10 + i, np.arange(psi.size), layout.total_qubits
+                )
                 bits = format(index, f"0{layout.total_qubits}b")
                 samples[name] = counts.get(bits, 0) / shots
             p = per_state["f2"][0]
@@ -409,7 +412,9 @@ def test_c09_hardware_minimal_numbers():
             psi = trotter_evolve(make_plan(h, 0.2, 1, order=1), psi0)
             p = abs(psi[target]) ** 2
             assert p == pytest.approx(center, abs=tol)
-            counts = sample_counts(psi, 8192, seed=31 + int(lam))
+            counts = sample_counts(
+                psi, 8192, 31 + int(lam), np.arange(psi.size), layout.total_qubits
+            )
             sampled = counts.get(format(target, f"0{layout.total_qubits}b"), 0) / 8192
             sigma = math.sqrt(p * (1.0 - p) / 8192)
             assert abs(sampled - p) <= tol + 3.0 * sigma

@@ -33,13 +33,13 @@ def _exact_on_register(h, psi0, t, layout):
     return psi
 
 
-def test_transition_prob_takes_fock_states_and_indices(system):
+def test_transition_prob_takes_positions(system):
     _, layout, _, state0 = system
     psi0 = layout.basis_vector(state0)
     index = layout.encode(state0)
-    for targets in ([state0], [index], np.array([index]), np.array([index], dtype=np.int32)):
-        assert transition_prob(psi0, targets, layout) == pytest.approx(1.0)
-    assert transition_prob(psi0, np.array([index + 1]), layout) == 0.0
+    for targets in ([index], np.array([index]), np.array([index], dtype=np.int32)):
+        assert transition_prob(psi0, targets) == pytest.approx(1.0)
+    assert transition_prob(psi0, np.array([index + 1])) == 0.0
 
 
 def test_survival_at_time_zero(system):
@@ -52,18 +52,18 @@ def test_survival_plus_transitions_exhaust_probability(system):
     config, layout, h, state0 = system
     psi0 = layout.basis_vector(state0)
     psi = _exact_on_register(h, psi0, 0.13, layout)
-    everything = [layout.decode(i) for i in range(1 << layout.total_qubits)]
-    assert transition_prob(psi, everything, layout) == pytest.approx(1.0)
-    others = [s for s in everything if s != state0]
-    assert survival(psi, psi0) + transition_prob(psi, others, layout) == pytest.approx(1.0)
+    everything = range(1 << layout.total_qubits)
+    assert transition_prob(psi, everything) == pytest.approx(1.0)
+    others = [i for i in everything if i != layout.encode(state0)]
+    assert survival(psi, psi0) + transition_prob(psi, others) == pytest.approx(1.0)
 
 
 def test_two_level_transition_is_complement_of_survival(system):
     config, layout, h, state0 = system
     psi0 = layout.basis_vector(state0)
     psi = _exact_on_register(h, psi0, 0.095, layout)
-    partner = [s for s in enumerate_sector(config, 2, 1) if s != state0]
-    assert transition_prob(psi, partner, layout) == pytest.approx(
+    partner = [layout.encode(s) for s in enumerate_sector(config, 2, 1) if s != state0]
+    assert transition_prob(psi, partner) == pytest.approx(
         1.0 - survival(psi, psi0), abs=1e-10
     )
 
@@ -72,7 +72,7 @@ def test_leakage_zero_under_exact_evolution(system):
     _, layout, h, state0 = system
     psi0 = layout.basis_vector(state0)
     psi = _exact_on_register(h, psi0, 0.4, layout)
-    leak_k, leak_q = leakage(psi, 2, 1, layout)
+    leak_k, leak_q = leakage(psi, np.arange(psi.size), 2, 1, layout)
     assert leak_k < 1e-10 and leak_q < 1e-10
 
 
@@ -80,7 +80,7 @@ def test_leakage_counts_double_violations_in_both(system):
     _, layout, _, _ = system
     # fermion mode 1: K=1, Q=1 -- violates both relative to (K=2, Q=0)
     psi = layout.basis_vector(FockState((1, 0, 0), (0, 0, 0), (0, 0, 0)))
-    leak_k, leak_q = leakage(psi, 2, 0, layout)
+    leak_k, leak_q = leakage(psi, np.arange(psi.size), 2, 0, layout)
     assert leak_k == pytest.approx(1.0) and leak_q == pytest.approx(1.0)
 
 

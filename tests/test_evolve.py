@@ -31,7 +31,7 @@ from lfyukawa.pauli import (
     subspace_matrix,
 )
 
-from oracles import FockOracle, rabi_transition, trotter_reference
+from oracles import FockOracle, charge_reference, rabi_transition, trotter_reference
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ def test_exact_evolve_matches_closed_form_rabi(two_level):
 def test_exact_evolve_conserves_charges(two_level):
     _, layout, h, _, psi0, _, indices = two_level
     out = _on_register(exact_evolve(h, psi0[indices], 0.31, indices), indices, psi0)
-    leak_k, leak_q = leakage(out, 2, 1, layout)
+    leak_k, leak_q = leakage(out, np.arange(out.size), 2, 1, layout)
     assert leak_k < 1e-10 and leak_q < 1e-10
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
@@ -224,7 +224,8 @@ def test_blocked_keeps_the_exact_zeros_and_the_shot_draws(two_level):
     # an index off the coset psi0 ^ span(all flips) stays a sum of exact zeros, as in
     # the rotation-by-rotation product; round-off on the nonzero amplitudes would
     # have to cross a binomial threshold to move a draw.
-    _, _, h, _, psi0, _, _ = two_level
+    _, layout, h, _, psi0, _, _ = two_level
+    everywhere = np.arange(psi0.size)
     for order in (1, 2):
         plan = make_plan(h, 0.2, 10, order=order)
         a = trotter_reference(plan, psi0)
@@ -232,7 +233,9 @@ def test_blocked_keeps_the_exact_zeros_and_the_shot_draws(two_level):
         assert np.array_equal(a == 0, b == 0)
         assert np.count_nonzero(a) == 1024 and a.size == 4096
         for seed in range(20):
-            assert sample_counts(a, 8192, seed) == sample_counts(b, 8192, seed)
+            assert sample_counts(a, 8192, seed, everywhere, layout.total_qubits) == (
+                sample_counts(b, 8192, seed, everywhere, layout.total_qubits)
+            )
 
 
 def _random_real_sum(
@@ -331,8 +334,11 @@ def test_blocked_visits_only_the_reachable_cosets(data, n, n_base, shape, n_step
     assert np.array_equal(a[~residue] == 0, b[~residue] == 0)
     a, b = np.where(residue, 0, a), np.where(residue, 0, b)
     if not _draw_at_a_tie(a):
+        everywhere = np.arange(1 << n)
         for seed in range(3):
-            assert sample_counts(a, 4096, seed) == sample_counts(b, 4096, seed)
+            assert sample_counts(a, 4096, seed, everywhere, n) == (
+                sample_counts(b, 4096, seed, everywhere, n)
+            )
 
 
 def _gf2_rank(masks) -> int:
@@ -526,15 +532,15 @@ def test_plan_hash_is_stable(two_level):
 def test_sample_counts_basis_state():
     psi = np.zeros(8, dtype=complex)
     psi[5] = 1.0
-    counts = sample_counts(psi, 100, seed=0)
+    counts = sample_counts(psi, 100, 0, np.arange(8), 3)
     assert counts == {"101": 100}
 
 
 def test_sample_counts_reproducible_and_binomial():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
-    a = sample_counts(psi, 8192, seed=42)
-    b = sample_counts(psi, 8192, seed=42)
+    a = sample_counts(psi, 8192, 42, np.arange(4), 2)
+    b = sample_counts(psi, 8192, 42, np.arange(4), 2)
     assert a == b
     assert sum(a.values()) == 8192
     sigma = np.sqrt(8192 * 0.25)
@@ -544,13 +550,13 @@ def test_sample_counts_reproducible_and_binomial():
 
 def test_sample_counts_requires_shots():
     with pytest.raises(ValueError):
-        sample_counts(np.array([1.0 + 0j]), 0, seed=1)
+        sample_counts(np.array([1.0 + 0j]), 0, 1, np.arange(1), 0)
 
 
 def test_sample_counts_on_indices_needs_a_wide_enough_register():
     amp = np.array([0.6, 0.8])
     with pytest.raises(ValueError):
-        sample_counts(amp, 10, seed=1, indices=[5, 9])
+        sample_counts(amp, 10, seed=1, indices=[5, 9], n_qubits=0)
     with pytest.raises(ValueError):
         sample_counts(amp, 10, seed=1, indices=[5, 9], n_qubits=3)
     counts = sample_counts(amp, 10, seed=1, indices=[5, 9], n_qubits=5)
@@ -565,6 +571,48 @@ def test_sample_counts_on_indices_needs_one_increasing_index_per_amplitude():
             sample_counts(amp, 10, seed=1, indices=bad, n_qubits=4)
     counts = sample_counts(amp, 10, seed=1, indices=[3, 5, 9], n_qubits=4)
     assert set(counts) <= {"0011", "1001"} and sum(counts.values()) == 10
+
+
+@lru_cache(maxsize=None)
+def _reference_charges(config: ModeConfig):
+    return charge_reference(QubitLayout(config))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    nf=st.integers(1, 3),
+    na=st.integers(1, 3),
+    modals=st.lists(st.sampled_from([1, 3]), min_size=1, max_size=3),
+)
+def test_readout_on_nonzero_entries_equals_the_register_readout(data, nf, na, modals):
+    # Runs read leakage and shots on (psi[nz], nz), the nonzero entries of a register
+    # vector and their indices.  Amplitudes spread over 17 decades, as off-sector
+    # round-off does, and the leakage must match the register's to 1e-12 relative, the
+    # draws bit for bit: a zero category draws nothing, and only a draw at a tie can
+    # see the normaliser summed in another grouping.
+    config = ModeConfig(nf, na, len(modals), tuple(modals))
+    layout = QubitLayout(config)
+    n = layout.total_qubits
+    k_ref, q_ref = _reference_charges(config)
+    states = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True)
+    on = data.draw(states, label="on")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="psi seed"))
+    psi = np.zeros(1 << n, dtype=complex)
+    scale = 10.0 ** -rng.integers(0, 18, len(on))
+    psi[on] = scale * (rng.standard_normal(len(on)) + 1j * rng.standard_normal(len(on)))
+    psi /= np.linalg.norm(psi)
+    K0, Q0 = int(k_ref[on[0]]), int(q_ref[on[0]])
+    probs = np.abs(psi) ** 2
+    want = (probs[k_ref != K0].sum(), probs[q_ref != Q0].sum())
+    nz = np.flatnonzero(psi)
+    assert leakage(psi[nz], nz, K0, Q0, layout) == pytest.approx(want, rel=1e-12, abs=0)
+    if not _draw_at_a_tie(psi):
+        everywhere = np.arange(psi.size)
+        for seed in range(3):
+            assert sample_counts(psi[nz], 4096, seed, nz, n) == (
+                sample_counts(psi, 4096, seed, everywhere, n)
+            )
 
 
 # -- cost accounting ----------------------------------------------------------------

@@ -5,12 +5,14 @@ from lfyukawa.fock import (
     FockState,
     ModeConfig,
     QubitLayout,
-    charge_tables,
+    charges,
     enumerate_sector,
     k_of,
     q_of,
     sector_indices,
 )
+
+from oracles import charge_reference
 
 
 def test_qubit_count_reference_registers():
@@ -100,18 +102,30 @@ def test_sector_vacuum_only_at_origin():
         sector_indices(config, -1, 0)
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        ModeConfig.uniform(3, 3),
-        ModeConfig(2, 2, 2, (3, 1)),
-        ModeConfig.uniform(2, 7),
-        ModeConfig(3, 1, 2, (1, 3)),
-    ],
-)
+SCAN_CONFIGS = [
+    ModeConfig.uniform(3, 3),
+    ModeConfig(2, 2, 2, (3, 1)),
+    ModeConfig.uniform(2, 7),
+    ModeConfig(3, 1, 2, (1, 3)),
+]
+
+
+@pytest.mark.parametrize("config", SCAN_CONFIGS)
+def test_charges_match_decoded_occupancies(config):
+    layout = QubitLayout(config)
+    k_ref, q_ref = charge_reference(layout)
+    k_arr, q_arr = charges(layout, np.arange(1 << layout.total_qubits))
+    assert k_arr.tolist() == k_ref.tolist() and q_arr.tolist() == q_ref.tolist()
+    # any subset of indices, in any order, reads the same values
+    picks = np.random.default_rng(0).permutation(1 << layout.total_qubits)[:50]
+    k_sub, q_sub = charges(layout, picks)
+    assert k_sub.tolist() == k_ref[picks].tolist() and q_sub.tolist() == q_ref[picks].tolist()
+
+
+@pytest.mark.parametrize("config", SCAN_CONFIGS)
 def test_sector_enumeration_matches_full_scan(config):
     layout = QubitLayout(config)
-    k_arr, q_arr = charge_tables(layout)
+    k_arr, q_arr = charges(layout, np.arange(1 << layout.total_qubits))
     seen = 0
     for K in range(config.max_k + 1):
         for Q in range(-config.n_antifermion_modes, config.n_fermion_modes + 1):
@@ -127,7 +141,7 @@ def test_sector_enumeration_matches_full_scan(config):
 def test_sector_k9_q2_matches_scan_on_pp_register():
     config = ModeConfig.uniform(5, 3)
     layout = QubitLayout(config)
-    k_arr, q_arr = charge_tables(layout)
+    k_arr, q_arr = charges(layout, np.arange(1 << layout.total_qubits))
     expect = np.flatnonzero((k_arr == 9) & (q_arr == 2))
     indices = sector_indices(config, 9, 2)
     assert indices.tolist() == expect.tolist() and len(indices) == 42

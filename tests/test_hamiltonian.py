@@ -104,14 +104,14 @@ def test_h_is_hermitian(setup_n3):
 
 def test_charges_are_diagonal_and_match_occupancies(setup_n3):
     config, layout, _ = setup_n3
-    from lfyukawa.fock import charge_tables
+    from lfyukawa.fock import charges
 
     k_op = build_charge("K", config, layout)
     q_op = build_charge("Q", config, layout)
     for op in (k_op, q_op):
         for term in op.terms:
             assert set(term.letters) <= {"I", "Z"}
-    k_arr, q_arr = charge_tables(layout)
+    k_arr, q_arr = charges(layout, np.arange(1 << layout.total_qubits))
     assert np.allclose(np.diag(to_matrix(k_op)).real, k_arr, atol=1e-10)
     assert np.allclose(np.diag(to_matrix(q_op)).real, q_arr, atol=1e-10)
 
@@ -130,11 +130,11 @@ def test_h_commutes_with_charges(n_modes):
 
 def test_h_block_structure_across_sectors(setup_n3):
     config, layout, params = setup_n3
-    from lfyukawa.fock import charge_tables
+    from lfyukawa.fock import charges
 
     h = build_h(config, params, layout)
     mat = to_matrix(h)
-    k_arr, q_arr = charge_tables(layout)
+    k_arr, q_arr = charges(layout, np.arange(1 << layout.total_qubits))
     label = k_arr * 100 + q_arr  # distinct (K, Q) pairs
     different = label[:, None] != label[None, :]
     assert np.max(np.abs(mat[different])) < 1e-10

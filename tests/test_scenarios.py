@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfyukawa import diagnostics, evolve, fock, scenarios
+from lfyukawa import evolve, scenarios
 from lfyukawa.cli import main
 from lfyukawa.evolve import NORM_TOL, exact_evolve, sample_counts
 from lfyukawa.fock import ModeConfig, QubitLayout
@@ -335,7 +335,6 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.slow
 def test_coupling_sweep_reproduces_golden_rows(tmp_path):
     golden = (GOLDEN / "demo-coupling-sweep" / "coupling-sweep.csv").read_text().splitlines()
     # lambda 5 is the coupling the benchmark's coupling-sweep workload gates
@@ -493,10 +492,16 @@ def test_sector_cap_exits_2_before_build_h(tmp_path, capsys, monkeypatch):
 
 
 def test_exact_runs_build_no_register_vector(tmp_path, monkeypatch):
-    for owner in (fock, diagnostics):
-        monkeypatch.setattr(owner, "charge_tables", _refuse)
     monkeypatch.setattr(QubitLayout, "basis_vector", _refuse)
-    monkeypatch.setattr(scenarios, "leakage", _refuse)
+    # leakage reads the sector amplitudes on the start's sector indices, never a register
+    real_leakage, read = scenarios.leakage, []
+
+    def leakage(amp, indices, *args):
+        assert np.shape(amp) == np.shape(indices)
+        read.append(len(indices))
+        return real_leakage(amp, indices, *args)
+
+    monkeypatch.setattr(scenarios, "leakage", leakage)
     docs = [
         {"scenario": "rabi", "shots": 512, "evolution": {"t_max": 0.1, "dt": 0.05}},
         {
@@ -515,6 +520,9 @@ def test_exact_runs_build_no_register_vector(tmp_path, monkeypatch):
     for k, doc in enumerate(docs):
         doc["output_dir"] = str(tmp_path / str(k))
         results.append(run_scenario(parse_config(json.dumps(doc))))
+        records, _, manifest, _ = results[-1]
+        assert read == [manifest["sector_dim"]] * len(records)
+        read.clear()
     assert "survival_sampled" in results[0][1].splitlines()[0]
     assert "probabilities" in results[1][3]
     records, _, manifest, _ = results[2]
@@ -545,12 +553,13 @@ def test_sector_readout_equals_register_readout():
             probs = np.abs(psi) ** 2
             want = {layout.format_bits(i): float(probs[i]) for i in np.flatnonzero(probs > 1e-12)}
             assert _probability_map(amp, start.indices, layout) == want
+            everywhere = np.arange(psi.size)
             for seed in range(20):
-                want = sample_counts(psi, 1000, seed)
+                want = sample_counts(psi, 1000, seed, everywhere, layout.total_qubits)
                 assert sample_counts(amp, 1000, seed, start.indices, layout.total_qubits) == want
                 for hits in ([start.index], start.indices[start.targets]):
                     assert _sampled_fraction(amp, start.indices, hits, layout, 1000, seed) == (
-                        _sampled_fraction(psi, None, hits, layout, 1000, seed)
+                        _sampled_fraction(psi, everywhere, hits, layout, 1000, seed)
                     )
 
 
