@@ -8,8 +8,10 @@ reduce to XOR, popcount and sign bookkeeping.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -40,6 +42,8 @@ DEFAULT_TOL = 1e-12  # coefficients at or below this are dropped
 COMPARE_TOL = 1e-10  # coefficient agreement in equality and Hermiticity checks
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k
+_PHASE_ARRAY = np.array(_PHASES)
+_LETTER_BYTES = np.frombuffer(b"IXZY", dtype=np.uint8)  # indexed by x bit | z bit << 1
 
 
 def _letters_to_masks(letters: str) -> tuple[int, int]:
@@ -59,15 +63,6 @@ def _letters_to_masks(letters: str) -> tuple[int, int]:
     return x, z
 
 
-def _masks_to_letters(x: int, z: int, n: int) -> str:
-    out = []
-    for q in range(n):
-        bit = 1 << (n - 1 - q)
-        xb, zb = bool(x & bit), bool(z & bit)
-        out.append("Y" if xb and zb else "X" if xb else "Z" if zb else "I")
-    return "".join(out)
-
-
 @dataclass(frozen=True)
 class PauliString:
     """One term: complex coefficient and a letter per qubit."""
@@ -80,20 +75,77 @@ class PauliString:
         return len(self.letters)
 
 
+class _TermTable:
+    """A sum's terms as arrays, in the insertion order of its store.
+
+    ``x`` and ``z`` are the int64 flip and phase masks (so at most 63 qubits,
+    like every register) and ``coeffs`` the coefficients.  The canonical views
+    read them: ``letters`` and ``order`` serve ``PauliSum.terms`` and
+    ``dumps``, ``groups`` serves ``PauliSum.flip_groups``.
+    """
+
+    def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex]):
+        count = len(terms)
+        masks = np.fromiter(itertools.chain.from_iterable(terms), np.int64, 2 * count)
+        self.n_qubits = n_qubits
+        self.x = masks[0::2]
+        self.z = masks[1::2]
+        self.coeffs = np.fromiter(terms.values(), complex, count)
+
+    @cached_property
+    def letters(self) -> np.ndarray:
+        """Each string's letters as ``S{n}`` bytes, one lookup per qubit on its (x, z) bits.
+
+        The bytes sort I < X < Y < Z, the canonical order.  A 0-qubit string is
+        one zero byte, which reads as ``b""``.
+        """
+        n = self.n_qubits
+        codes = np.zeros((self.x.size, max(n, 1)), dtype=np.uint8)
+        for q in range(n):
+            shift = n - 1 - q
+            codes[:, q] = _LETTER_BYTES[((self.x >> shift) & 1) | (((self.z >> shift) & 1) << 1)]
+        return codes.view(f"S{max(n, 1)}").ravel()
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Positions of the terms in canonical order."""
+        return np.argsort(self.letters)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
+        """See ``PauliSum.flip_groups``."""
+        x = self.x
+        # c * i**nY: numpy's complex product is CPython's formula, and with factors
+        # 0 and +-1 every part is exact, so zeros keep the signs CPython gives them
+        phased = self.coeffs * _PHASE_ARRAY[np.bitwise_count(x & self.z) & 3]
+        _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+        home = first[inverse]  # a group is named by the position of its first term
+        order = np.argsort(home, kind="stable")
+        edges = np.flatnonzero(np.diff(home[order], prepend=-1, append=-1)).tolist()
+        zs, phased = self.z[order].tolist(), phased[order]
+        return tuple(
+            (int(x[order[lo]]), tuple(zs[lo:hi]), phased[lo:hi])
+            for lo, hi in zip(edges, edges[1:])
+        )
+
+
 class PauliSum:
     """Canonical sum of Pauli strings on a fixed register.
 
     Canonical form: like strings merged, coefficients below the drop tolerance
     removed, iteration in lexicographic letter order (I < X < Y < Z).
+
+    Arithmetic works on the ``{(x, z): coefficient}`` store.  The canonical
+    views (``terms``, ``flip_groups``, ``is_hermitian`` and ``dumps``) read
+    ``table``, the same terms as arrays, built once on first use.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_sorted", "_groups")
+    __slots__ = ("n_qubits", "_terms", "_table")
 
     def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex] | None = None):
         self.n_qubits = int(n_qubits)
         self._terms: dict[tuple[int, int], complex] = terms if terms is not None else {}
-        self._sorted: tuple[PauliString, ...] | None = None
-        self._groups: tuple[tuple[int, tuple[int, ...], np.ndarray], ...] | None = None
+        self._table: _TermTable | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -112,14 +164,17 @@ class PauliSum:
     # -- canonical views ------------------------------------------------------
 
     @property
+    def table(self) -> _TermTable:
+        if self._table is None:
+            self._table = _TermTable(self.n_qubits, self._terms)
+        return self._table
+
+    @property
     def terms(self) -> tuple[PauliString, ...]:
-        if self._sorted is None:
-            items = [
-                (_masks_to_letters(x, z, self.n_qubits), c) for (x, z), c in self._terms.items()
-            ]
-            items.sort(key=lambda t: t[0])
-            self._sorted = tuple(PauliString(c, s) for s, c in items)
-        return self._sorted
+        order = self.table.order
+        coeffs = list(self._terms.values())
+        letters = self.table.letters[order].astype(str).tolist()
+        return tuple(PauliString(coeffs[i], s) for i, s in zip(order.tolist(), letters))
 
     @property
     def flip_groups(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
@@ -127,17 +182,10 @@ class PauliSum:
 
         Each coefficient carries its string's i**nY phase, so a group maps basis
         index i to i ^ x with amplitude sum_j coeffs[j] * (-1)**popcount(i & z_j).
+        Groups come in the order of their flip masks' first terms, and terms keep
+        their order within a group.
         """
-        if self._groups is None:
-            acc: dict[int, tuple[list[int], list[complex]]] = {}
-            for (x, z), c in self._terms.items():
-                zs, cs = acc.setdefault(x, ([], []))
-                zs.append(z)
-                cs.append(c * _PHASES[(x & z).bit_count() & 3])
-            self._groups = tuple(
-                (x, tuple(zs), np.array(cs, dtype=complex)) for x, (zs, cs) in acc.items()
-            )
-        return self._groups
+        return self.table.groups
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -158,7 +206,7 @@ class PauliSum:
         return all(abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol for k in keys)
 
     def is_hermitian(self, tol: float = COMPARE_TOL) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return bool(np.all(np.abs(self.table.coeffs.imag) <= tol))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -387,8 +435,19 @@ def boson_ladder(mode: int, dagger: bool, layout: QubitLayout) -> PauliSum:
 
 
 def dumps(op: PauliSum) -> str:
-    """One term per line: ``<re> <im> <letters>`` in canonical order."""
-    return "\n".join(f"{t.coeff.real!r} {t.coeff.imag!r} {t.letters}" for t in op.terms)
+    """One term per line: ``<re> <im> <letters>`` in canonical order.
+
+    Coefficient values repeat heavily, so each distinct float64 bit pattern is
+    ``repr``-ed once.
+    """
+    table = op.table
+    order = table.order
+    parts = np.concatenate([table.coeffs.real[order], table.coeffs.imag[order]])
+    patterns, which = np.unique(parts.view(np.uint64), return_inverse=True)
+    text = [repr(v) for v in patterns.view(np.float64).tolist()]
+    letters = table.letters[order].astype(str).tolist()
+    re, im = which[: order.size].tolist(), which[order.size :].tolist()
+    return "\n".join([f"{text[a]} {text[b]} {s}" for a, b, s in zip(re, im, letters)])
 
 
 def loads(text: str) -> PauliSum:

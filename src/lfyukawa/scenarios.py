@@ -541,7 +541,7 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
 
             def observer(step, psi, k=k, s=s):
                 if step > first:
-                    nz = np.flatnonzero(psi)
+                    nz = np.flatnonzero(psi != 0)
                     emit(k, observed[step - first - 1], psi[s.indices], (psi[nz], nz), dict(meta))
 
             trotter_evolve(plan, psi0s[k], observer=observer)

@@ -20,6 +20,11 @@ Trotter evaluator.
 
 The charge reference decodes every register index into its occupancies and
 counts K and Q on them, with none of the package's bit-plane arithmetic.
+
+The Pauli-sum view references walk the sum's ``{(x, z): coefficient}`` store
+term by term in Python: they spell the letters one qubit at a time, sort them
+as Python strings and apply each i**nY with Python's complex product, where
+the package reads its term table with array operations.
 """
 
 from __future__ import annotations
@@ -344,6 +349,39 @@ def expectation(op, psi: np.ndarray) -> float:
     if abs(value.imag) > 1e-9 * scale:
         raise ValueError(f"operator is not Hermitian on this state (Im = {value.imag:.3e})")
     return value.real
+
+
+def masks_to_letters(x: int, z: int, n: int) -> str:
+    out = []
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        xb, zb = bool(x & bit), bool(z & bit)
+        out.append("Y" if xb and zb else "X" if xb else "Z" if zb else "I")
+    return "".join(out)
+
+
+def terms_reference(op) -> list[tuple[str, complex]]:
+    """``(letters, coefficient)`` of every term, in canonical (letter) order."""
+    items = [(masks_to_letters(x, z, op.n_qubits), c) for (x, z), c in op._terms.items()]
+    items.sort(key=lambda t: t[0])
+    return items
+
+
+def dumps_reference(op) -> str:
+    return "\n".join(f"{c.real!r} {c.imag!r} {letters}" for letters, c in terms_reference(op))
+
+
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def flip_groups_reference(op) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
+    """Terms by flip mask in the order the store first meets each mask, with i**nY applied."""
+    acc: dict[int, tuple[list[int], list[complex]]] = {}
+    for (x, z), c in op._terms.items():
+        zs, cs = acc.setdefault(x, ([], []))
+        zs.append(z)
+        cs.append(c * _I_POWERS[(x & z).bit_count() & 3])
+    return [(x, tuple(zs), np.array(cs, dtype=complex)) for x, (zs, cs) in acc.items()]
 
 
 def charge_reference(layout) -> tuple[np.ndarray, np.ndarray]:

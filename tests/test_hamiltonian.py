@@ -16,9 +16,9 @@ from lfyukawa.hamiltonian import (
     build_part,
     self_inertia,
 )
-from lfyukawa.pauli import adjoint, commutator, dumps, subspace_matrix
+from lfyukawa.pauli import adjoint, commutator, dumps, loads, subspace_matrix
 
-from oracles import FockOracle, bracket_exact, inertia_exact, to_matrix
+from oracles import FockOracle, bracket_exact, flip_groups_reference, inertia_exact, to_matrix
 
 
 def test_bracket_reference_values():
@@ -225,7 +225,11 @@ def test_params_validation():
     "run", ["demo-coupling-sweep/coupling-sweep", "demo-pp-collision/pp-collision"]
 )
 def test_hamiltonians_reproduce_golden_hashes(run):
-    """The dumps of every golden run's Hamiltonian hash to the bits its manifest records."""
+    """The dumps of every golden run's Hamiltonian hash to the bits its manifest records.
+
+    Each dump also survives a loads round trip, and the flip groups equal the
+    per-term reference bit for bit.
+    """
     golden = Path(__file__).resolve().parent / "golden"
     manifest = json.loads((golden / f"{run}.manifest.json").read_text())
     cfg = manifest["config"]
@@ -236,5 +240,10 @@ def test_hamiltonians_reproduce_golden_hashes(run):
     for lam in cfg.get("lambdas", [cfg["coupling"]]):
         at_lam = replace(params, coupling=lam)
         h = build_h(config, at_lam, layout, tuple(cfg["parts"]), cfg["cross_species_string"])
-        hashes.append(hashlib.sha256(dumps(h).encode()).hexdigest())
+        text = dumps(h)
+        hashes.append(hashlib.sha256(text.encode()).hexdigest())
+        assert dumps(loads(text)) == text
+        groups, ref = h.flip_groups, flip_groups_reference(h)
+        assert [(x, zs) for x, zs, _ in groups] == [(x, zs) for x, zs, _ in ref]
+        assert [c.tobytes() for _, _, c in groups] == [c.tobytes() for _, _, c in ref]
     assert hashes == manifest["hamiltonian_hashes"]

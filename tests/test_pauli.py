@@ -24,7 +24,7 @@ from lfyukawa.pauli import (
     subspace_matrix,
 )
 
-from oracles import apply, to_matrix
+from oracles import apply, dumps_reference, flip_groups_reference, terms_reference, to_matrix
 
 _MATS = {
     "I": np.eye(2),
@@ -375,3 +375,43 @@ def test_dump_roundtrip():
     assert loads(dumps(op)).equals(op, 1e-15)
     line = dumps(canonicalize([PauliString(0.5, "IZXY")])).strip()
     assert line == "0.5 0.0 IZXY"
+
+
+def test_zero_qubit_and_empty_dumps():
+    assert dumps(PauliSum.identity(0)) == "1.0 0.0 "
+    assert PauliSum.identity(0).terms == (PauliString(1.0, ""),)
+    assert dumps(PauliSum.zero(3)) == ""
+
+
+# Few distinct parts, signed zeros among them, as in built Hamiltonians.
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-13]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _stores(draw):
+    """A sum straight from a random store: masks up to bit 62, parts kept as drawn."""
+    n = draw(st.integers(1, 63))
+    mask = st.integers(0, (1 << n) - 1)
+    entries = draw(st.lists(st.tuples(mask, mask, _parts, _parts), max_size=30))
+    return PauliSum(n, {(x, z): complex(re, im) for x, z, re, im in entries})
+
+
+def _bits(coeffs) -> bytes:
+    return np.array(coeffs, dtype=complex).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stores())
+def test_table_views_equal_the_per_term_reference(op):
+    want = terms_reference(op)
+    assert [t.letters for t in op.terms] == [letters for letters, _ in want]
+    assert _bits([t.coeff for t in op.terms]) == _bits([c for _, c in want])
+    assert dumps(op) == dumps_reference(op)
+    groups, ref = op.flip_groups, flip_groups_reference(op)
+    assert [(x, zs) for x, zs, _ in groups] == [(x, zs) for x, zs, _ in ref]
+    assert [c.tobytes() for _, _, c in groups] == [c.tobytes() for _, _, c in ref]
+    for tol in (0.0, 0.5):
+        assert op.is_hermitian(tol) == all(abs(c.imag) <= tol for _, c in want)
