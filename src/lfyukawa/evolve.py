@@ -301,7 +301,9 @@ def _compile_block(run: list, n: int, union: int, checks):
             coord |= {v ^ xl: t | len(coord) for v, t in coord.items()}
     span = np.array(sorted(coord, key=coord.get), dtype=np.int64)
     patt = np.arange(1 << f, dtype=np.int64)
-    reps = np.unique(np.min(patt[:, None] ^ span, axis=1))
+    # np.unique without an index output checks np.ma.is_masked, which imports numpy.ma
+    # (10-20 ms) on first use; the index-returning forms give the same sorted values
+    reps = np.unique(np.min(patt[:, None] ^ span, axis=1), return_inverse=True)[0]
     local = reps[:, None] ^ span  # (C, D): coset c, span coordinate t
     rest = [q for q in range(n) if q not in support]
     sup_off = _spread_offsets(list(support), n)[local]
@@ -319,7 +321,7 @@ def _compile_block(run: list, n: int, union: int, checks):
     sup_off = sup_off[by_coset]
     syns, starts = np.unique(coset_syn[by_coset], return_index=True)
     groups = list(zip(starts.tolist(), starts[1:].tolist() + [len(reps)], syns.tolist()))
-    present = np.unique(sig)
+    present = np.unique(sig, return_inverse=True)[0]
     bounds = np.searchsorted(sig, present, side="left").tolist() + [sig.size]
     n_cos, dim = local.shape
     if len(present) * n_cos * dim * dim * 16 > _UNITARY_BYTES_CAP:
@@ -392,7 +394,8 @@ def trotter_evolve(plan: TrotterPlan, psi0: np.ndarray, observer=None) -> np.nda
     if psi0.shape != (1 << plan.n_qubits,):
         raise ValueError("statevector length does not match the plan's register")
     psi = psi0.astype(complex, copy=True)
-    wanted = set(np.unique(_syndromes(np.flatnonzero(psi), plan._checks)).tolist())
+    syndromes = _syndromes(np.flatnonzero(psi), plan._checks)
+    wanted = set(np.unique(syndromes, return_inverse=True)[0].tolist())
     segments = [_reachable(segment, wanted) for segment in plan._compiled]
     for step in range(plan.n_steps):
         for segment in segments:

@@ -4,6 +4,14 @@
 quartic parts (seagull and fork).  Every interaction coefficient is a momentum
 bracket evaluated explicitly, so only momentum-conserving index tuples emit
 terms and the assembled operator commutes with both charges by construction.
+
+Each part (and each charge) is a list of jobs ``w * (A . B)``: a weight and
+two named operands, each a ladder operator or the product of two, from a
+per-build cache that forms all the products a part needs in one batch.  The
+jobs go to ``pauli.sum_of_products`` in slices, one per outer mode index,
+which sums them in array passes with the arithmetic of adding each term into
+a dict one at a time (``tests/oracles.py`` keeps that loop as the reference).
+``build_h`` shares one cache across the parts it sums.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .fock import ModeConfig, QubitLayout
-from .pauli import PauliSum, boson_ladder, fermion_ladder, product
+from .pauli import PauliSum, adjoint, boson_ladder, fermion_ladder, products, sum_of_products
 
 __all__ = [
     "ModelParams",
@@ -90,49 +98,184 @@ def self_inertia(kind: str, n: int, cutoff: int) -> float:
 
 
 class _Ladders:
-    """Per-build cache of ladder operators and their bilinear products."""
+    """Per-build cache of the ladder operators and their pair products.
+
+    An operand is named by a base key, ``("f", species, mode, dagger)``, ``("a",
+    mode, dagger)`` for a_n or ``("c", mode, dagger)`` for c_n = a_n/sqrt(n), or
+    by a pair of base keys for their product.  ``operands`` forms the products
+    it has not seen in one batch.
+    """
 
     def __init__(self, layout: QubitLayout, cross_species_string: bool):
         self.layout = layout
         self.cross = cross_species_string
         self._ops: dict[tuple, PauliSum] = {}
 
-    def f(self, species: str, mode: int, dagger: bool) -> PauliSum:
-        key = (species, mode, dagger)
+    def __getitem__(self, key: tuple) -> PauliSum:
+        """A base operand, or a product that ``operands`` has formed."""
         if key not in self._ops:
-            self._ops[key] = fermion_ladder(species, mode, dagger, self.layout, self.cross)
+            kind, *args = key
+            if kind == "f":
+                op = fermion_ladder(*args, self.layout, self.cross)
+            elif kind == "a":  # both from one raiser, as boson_ladder builds a_n
+                mode, dagger = args
+                op = boson_ladder(mode, True, self.layout) if dagger else adjoint(self["a", mode, True])
+            else:
+                mode, dagger = args
+                op = self["a", mode, dagger] * (1.0 / math.sqrt(mode))
+            self._ops[key] = op
         return self._ops[key]
 
-    def c(self, mode: int, dagger: bool) -> PauliSum:
-        """c_n = a_n / sqrt(n)."""
-        key = ("c", mode, dagger)
-        if key not in self._ops:
-            self._ops[key] = boson_ladder(mode, dagger, self.layout) * (1.0 / math.sqrt(mode))
-        return self._ops[key]
-
-    def f_bilinear(self, species: str, k_dag: int, m_ann: int) -> PauliSum:
-        key = ("fb", species, k_dag, m_ann)
-        if key not in self._ops:
-            self._ops[key] = product(self.f(species, k_dag, True), self.f(species, m_ann, False))
-        return self._ops[key]
-
-    def c_bilinear(self, l_dag: int, n_ann: int) -> PauliSum:
-        key = ("cb", l_dag, n_ann)
-        if key not in self._ops:
-            self._ops[key] = product(self.c(l_dag, True), self.c(n_ann, False))
-        return self._ops[key]
-
-    def c_pair(self, l: int, n: int, dagger: bool) -> PauliSum:
-        key = ("cp", l, n, dagger)
-        if key not in self._ops:
-            self._ops[key] = product(self.c(l, dagger), self.c(n, dagger))
-        return self._ops[key]
+    def operands(self, names) -> list[PauliSum]:
+        """The named operands; products not yet formed are formed in one batch."""
+        fresh = dict.fromkeys(names)
+        pairs = [name for name in fresh if isinstance(name[0], tuple) and name not in self._ops]
+        if pairs:
+            lefts = [self[a] for a, _ in pairs]
+            rights = [self[b] for _, b in pairs]
+            self._ops.update(zip(pairs, products(lefts, rights)))
+        return [self[name] for name in names]
 
 
-def _accumulate(acc: dict, op: PauliSum, scale: float):
-    for key, c in op._terms.items():
-        val = acc.get(key)
-        acc[key] = c * scale if val is None else val + c * scale
+def _f(species: str, mode: int, dagger: bool) -> tuple:
+    return ("f", species, mode, dagger)
+
+
+def _c(mode: int, dagger: bool) -> tuple:
+    return ("c", mode, dagger)
+
+
+def _part_slices(part: str, config: ModeConfig, params: ModelParams):
+    """The part's jobs ``(left, right, weight)``, one list per outer mode index."""
+    nf, na, nb = config.n_fermion_modes, config.n_antifermion_modes, config.n_boson_modes
+    g = params.g
+    mf, mb = params.fermion_mass, params.boson_mass
+    lam_cut = params.inertia_cutoff
+
+    if part == "HM":
+        jobs = []
+        for n in range(1, nb + 1):
+            coeff = mb**2
+            if params.include_inertias:
+                coeff += g**2 * self_inertia("alpha", n, lam_cut)
+            jobs.append((("a", n, True), ("a", n, False), coeff / n))
+        for n in range(1, nf + 1):
+            coeff = mf**2
+            if params.include_inertias:
+                coeff += g**2 * self_inertia("beta", n, lam_cut)
+            jobs.append((_f("fermion", n, True), _f("fermion", n, False), coeff / n))
+        for n in range(1, na + 1):
+            coeff = mf**2
+            if params.include_inertias:
+                coeff += g**2 * self_inertia("gamma", n, lam_cut)
+            jobs.append((_f("antifermion", n, True), _f("antifermion", n, False), coeff / n))
+        yield jobs
+
+    elif part == "HV":
+        # b_k^dag b_m c_l^dag + h.c. with m = k + l, and the d twin
+        for species, n_modes in (("fermion", nf), ("antifermion", na)):
+            for k in range(1, n_modes + 1):
+                jobs = []
+                for l in range(1, nb + 1):
+                    m = k + l
+                    if m > n_modes:
+                        continue
+                    w = g * mf * (bracket(k + l, -m) + bracket(k, l - m))
+                    if w == 0.0:
+                        continue
+                    jobs.append(((_f(species, k, True), _f(species, m, False)), _c(l, True), w))
+                    jobs.append(((_f(species, m, True), _f(species, k, False)), _c(l, False), w))
+                yield jobs
+        # pair production/annihilation: -(b_k d_m c_l^dag + d_m^dag b_k^dag c_l)
+        for k in range(1, nf + 1):
+            jobs = []
+            for m in range(1, na + 1):
+                l = k + m
+                if l > nb:
+                    continue
+                w = g * mf * (bracket(k - l, m) + bracket(k, m - l))
+                if w == 0.0:
+                    continue
+                pair = (_f("fermion", k, False), _f("antifermion", m, False))
+                jobs.append((pair, _c(l, True), -w))
+                pair_dag = (_f("antifermion", m, True), _f("fermion", k, True))
+                jobs.append((pair_dag, _c(l, False), -w))
+            yield jobs
+
+    elif part == "HS":
+        for species, n_modes in (("fermion", nf), ("antifermion", na)):
+            for k in range(1, n_modes + 1):
+                jobs = []
+                for m in range(1, n_modes + 1):
+                    for l in range(1, nb + 1):
+                        n = k + l - m
+                        if not 1 <= n <= nb:
+                            continue
+                        w = g**2 * (bracket(k - n, l - m) + bracket(k + l, -m - n))
+                        if w == 0.0:
+                            continue
+                        bilinear = (_f(species, k, True), _f(species, m, False))
+                        jobs.append((bilinear, (_c(l, True), _c(n, False)), w))
+                yield jobs
+        # d_k b_m c_l^dag c_n^dag + h.c.: pair annihilation into two bosons
+        for k in range(1, na + 1):
+            jobs = []
+            for m in range(1, nf + 1):
+                for l in range(1, nb + 1):
+                    n = k + m - l
+                    if not 1 <= n <= nb:
+                        continue
+                    w = g**2 * bracket(l - k, n - m)
+                    if w == 0.0:
+                        continue
+                    pair = (_f("antifermion", k, False), _f("fermion", m, False))
+                    jobs.append((pair, (_c(l, True), _c(n, True)), w))
+                    pair_dag = (_f("fermion", m, True), _f("antifermion", k, True))
+                    jobs.append((pair_dag, (_c(n, False), _c(l, False)), w))
+            yield jobs
+
+    elif part == "HF":
+        # b_k^dag b_m c_l^dag c_n^dag + h.c. with m = k + l + n, and the d twin
+        for species, n_modes in (("fermion", nf), ("antifermion", na)):
+            for k in range(1, n_modes + 1):
+                jobs = []
+                for l in range(1, nb + 1):
+                    for n in range(1, nb + 1):
+                        m = k + l + n
+                        if m > n_modes:
+                            continue
+                        w = g**2 * bracket(k + l, n - m)
+                        if w == 0.0:
+                            continue
+                        up = (_f(species, k, True), _f(species, m, False))
+                        jobs.append((up, (_c(l, True), _c(n, True)), w))
+                        down = (_f(species, m, True), _f(species, k, False))
+                        jobs.append((down, (_c(n, False), _c(l, False)), w))
+                yield jobs
+        # boson splitting into a pair plus a boson: b_k^dag d_m^dag c_l^dag c_n + h.c.
+        for k in range(1, nf + 1):
+            jobs = []
+            for m in range(1, na + 1):
+                for l in range(1, nb + 1):
+                    n = k + l + m
+                    if n > nb:
+                        continue
+                    w = g**2 * (bracket(k - n, m + l) + bracket(k + l, m - n))
+                    if w == 0.0:
+                        continue
+                    pair_dag = (_f("fermion", k, True), _f("antifermion", m, True))
+                    jobs.append((pair_dag, (_c(l, True), _c(n, False)), w))
+                    pair = (_f("antifermion", m, False), _f("fermion", k, False))
+                    jobs.append((pair, (_c(n, True), _c(l, False)), w))
+            yield jobs
+
+
+def _assemble(slices, lad: _Ladders) -> PauliSum:
+    """Sum_j w_j * (A_j . B_j) over the named jobs, with the operands from ``lad``."""
+    slices = [tuple(zip(*jobs)) for jobs in slices if jobs]  # (lefts, rights, weights) each
+    lad.operands([name for lefts, rights, _ in slices for name in lefts + rights])
+    batches = ((lad.operands(lefts), lad.operands(rights), w) for lefts, rights, w in slices)
+    return sum_of_products(lad.layout.total_qubits, batches)
 
 
 def build_part(
@@ -143,133 +286,14 @@ def build_part(
     cross_species_string: bool = True,
 ) -> PauliSum:
     """One of the four Hamiltonian parts as a canonical Pauli sum."""
+    return _build_part(part, config, params, _Ladders(layout, cross_species_string))
+
+
+def _build_part(part: str, config: ModeConfig, params: ModelParams, lad: _Ladders) -> PauliSum:
     if part not in PARTS:
         raise ValueError(f"unknown Hamiltonian part {part!r}")
     params.validate(config)
-    nf, na, nb = config.n_fermion_modes, config.n_antifermion_modes, config.n_boson_modes
-    g = params.g
-    mf, mb = params.fermion_mass, params.boson_mass
-    lam_cut = params.inertia_cutoff
-    lad = _Ladders(layout, cross_species_string)
-    acc: dict = {}
-
-    if part == "HM":
-        for n in range(1, nb + 1):
-            coeff = mb**2
-            if params.include_inertias:
-                coeff += g**2 * self_inertia("alpha", n, lam_cut)
-            number = product(
-                boson_ladder(n, True, layout), boson_ladder(n, False, layout)
-            )
-            _accumulate(acc, number, coeff / n)
-        for n in range(1, nf + 1):
-            coeff = mf**2
-            if params.include_inertias:
-                coeff += g**2 * self_inertia("beta", n, lam_cut)
-            _accumulate(acc, lad.f_bilinear("fermion", n, n), coeff / n)
-        for n in range(1, na + 1):
-            coeff = mf**2
-            if params.include_inertias:
-                coeff += g**2 * self_inertia("gamma", n, lam_cut)
-            _accumulate(acc, lad.f_bilinear("antifermion", n, n), coeff / n)
-
-    elif part == "HV":
-        # b_k^dag b_m c_l^dag + h.c. with m = k + l, and the d twin
-        for species, n_modes in (("fermion", nf), ("antifermion", na)):
-            for k in range(1, n_modes + 1):
-                for l in range(1, nb + 1):
-                    m = k + l
-                    if m > n_modes:
-                        continue
-                    w = g * mf * (bracket(k + l, -m) + bracket(k, l - m))
-                    if w == 0.0:
-                        continue
-                    _accumulate(acc, product(lad.f_bilinear(species, k, m), lad.c(l, True)), w)
-                    _accumulate(acc, product(lad.f_bilinear(species, m, k), lad.c(l, False)), w)
-        # pair production/annihilation: -(b_k d_m c_l^dag + d_m^dag b_k^dag c_l)
-        for k in range(1, nf + 1):
-            for m in range(1, na + 1):
-                l = k + m
-                if l > nb:
-                    continue
-                w = g * mf * (bracket(k - l, m) + bracket(k, m - l))
-                if w == 0.0:
-                    continue
-                pair = product(lad.f("fermion", k, False), lad.f("antifermion", m, False))
-                _accumulate(acc, product(pair, lad.c(l, True)), -w)
-                pair_dag = product(lad.f("antifermion", m, True), lad.f("fermion", k, True))
-                _accumulate(acc, product(pair_dag, lad.c(l, False)), -w)
-
-    elif part == "HS":
-        for species, n_modes in (("fermion", nf), ("antifermion", na)):
-            for k in range(1, n_modes + 1):
-                for m in range(1, n_modes + 1):
-                    for l in range(1, nb + 1):
-                        n = k + l - m
-                        if not 1 <= n <= nb:
-                            continue
-                        w = g**2 * (bracket(k - n, l - m) + bracket(k + l, -m - n))
-                        if w == 0.0:
-                            continue
-                        term = product(lad.f_bilinear(species, k, m), lad.c_bilinear(l, n))
-                        _accumulate(acc, term, w)
-        # d_k b_m c_l^dag c_n^dag + h.c.: pair annihilation into two bosons
-        for k in range(1, na + 1):
-            for m in range(1, nf + 1):
-                for l in range(1, nb + 1):
-                    n = k + m - l
-                    if not 1 <= n <= nb:
-                        continue
-                    w = g**2 * bracket(l - k, n - m)
-                    if w == 0.0:
-                        continue
-                    pair = product(lad.f("antifermion", k, False), lad.f("fermion", m, False))
-                    _accumulate(acc, product(pair, lad.c_pair(l, n, True)), w)
-                    pair_dag = product(lad.f("fermion", m, True), lad.f("antifermion", k, True))
-                    _accumulate(acc, product(pair_dag, lad.c_pair(n, l, False)), w)
-
-    elif part == "HF":
-        # b_k^dag b_m c_l^dag c_n^dag + h.c. with m = k + l + n, and the d twin
-        for species, n_modes in (("fermion", nf), ("antifermion", na)):
-            for k in range(1, n_modes + 1):
-                for l in range(1, nb + 1):
-                    for n in range(1, nb + 1):
-                        m = k + l + n
-                        if m > n_modes:
-                            continue
-                        w = g**2 * bracket(k + l, n - m)
-                        if w == 0.0:
-                            continue
-                        _accumulate(
-                            acc,
-                            product(lad.f_bilinear(species, k, m), lad.c_pair(l, n, True)),
-                            w,
-                        )
-                        _accumulate(
-                            acc,
-                            product(lad.f_bilinear(species, m, k), lad.c_pair(n, l, False)),
-                            w,
-                        )
-        # boson splitting into a pair plus a boson: b_k^dag d_m^dag c_l^dag c_n + h.c.
-        for k in range(1, nf + 1):
-            for m in range(1, na + 1):
-                for l in range(1, nb + 1):
-                    n = k + l + m
-                    if n > nb:
-                        continue
-                    w = g**2 * (bracket(k - n, m + l) + bracket(k + l, m - n))
-                    if w == 0.0:
-                        continue
-                    pair_dag = product(lad.f("fermion", k, True), lad.f("antifermion", m, True))
-                    _accumulate(
-                        acc, product(pair_dag, lad.c_bilinear(l, n)), w
-                    )
-                    pair = product(lad.f("antifermion", m, False), lad.f("fermion", k, False))
-                    _accumulate(
-                        acc, product(pair, product(lad.c(n, True), lad.c(l, False))), w
-                    )
-
-    return PauliSum(layout.total_qubits, acc).prune()
+    return _assemble(_part_slices(part, config, params), lad)
 
 
 def build_h(
@@ -280,29 +304,26 @@ def build_h(
     cross_species_string: bool = True,
 ) -> PauliSum:
     """Canonical sum of the requested Hamiltonian parts (all four by default)."""
+    lad = _Ladders(layout, cross_species_string)
     total = PauliSum.zero(layout.total_qubits)
     for part in parts:
-        total = total + build_part(part, config, params, layout, cross_species_string)
+        total = total + _build_part(part, config, params, lad)
     return total
 
 
 def build_charge(which: str, config: ModeConfig, layout: QubitLayout) -> PauliSum:
     """Diagonal charge operator: harmonic resolution K or baryon number Q."""
-    acc: dict = {}
-    lad = _Ladders(layout, True)
+    if which not in ("K", "Q"):
+        raise ValueError(f"unknown charge {which!r}")
+    jobs = []
     if which == "K":
         for n in range(1, config.n_boson_modes + 1):
-            number = product(boson_ladder(n, True, layout), boson_ladder(n, False, layout))
-            _accumulate(acc, number, float(n))
-        for n in range(1, config.n_fermion_modes + 1):
-            _accumulate(acc, lad.f_bilinear("fermion", n, n), float(n))
-        for n in range(1, config.n_antifermion_modes + 1):
-            _accumulate(acc, lad.f_bilinear("antifermion", n, n), float(n))
-    elif which == "Q":
-        for n in range(1, config.n_fermion_modes + 1):
-            _accumulate(acc, lad.f_bilinear("fermion", n, n), 1.0)
-        for n in range(1, config.n_antifermion_modes + 1):
-            _accumulate(acc, lad.f_bilinear("antifermion", n, n), -1.0)
-    else:
-        raise ValueError(f"unknown charge {which!r}")
-    return PauliSum(layout.total_qubits, acc).prune()
+            jobs.append((("a", n, True), ("a", n, False), float(n)))
+    for species, count, sign in (
+        ("fermion", config.n_fermion_modes, 1.0),
+        ("antifermion", config.n_antifermion_modes, -1.0),
+    ):
+        for n in range(1, count + 1):
+            weight = float(n) if which == "K" else sign
+            jobs.append((_f(species, n, True), _f(species, n, False), weight))
+    return _assemble([jobs], _Ladders(layout, True))

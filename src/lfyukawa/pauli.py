@@ -25,6 +25,8 @@ __all__ = [
     "PauliSum",
     "canonicalize",
     "product",
+    "products",
+    "sum_of_products",
     "commutator",
     "adjoint",
     "subspace_matrix",
@@ -79,18 +81,27 @@ class _TermTable:
     """A sum's terms as arrays, in the insertion order of its store.
 
     ``x`` and ``z`` are the int64 flip and phase masks (so at most 63 qubits,
-    like every register) and ``coeffs`` the coefficients.  The canonical views
-    read them: ``letters`` and ``order`` serve ``PauliSum.terms`` and
-    ``dumps``, ``groups`` serves ``PauliSum.flip_groups``.
+    like every register) and ``coeffs`` the coefficients.  Products and sums
+    read and write these arrays.  The canonical views read them too:
+    ``letters`` and ``order`` serve ``PauliSum.terms`` and ``dumps``,
+    ``groups`` serves ``PauliSum.flip_groups``.
     """
 
-    def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex]):
+    def __init__(self, n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
+        self.n_qubits = n_qubits
+        self.x = x
+        self.z = z
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_store(cls, n_qubits: int, terms: dict[tuple[int, int], complex]) -> "_TermTable":
         count = len(terms)
         masks = np.fromiter(itertools.chain.from_iterable(terms), np.int64, 2 * count)
-        self.n_qubits = n_qubits
-        self.x = masks[0::2]
-        self.z = masks[1::2]
-        self.coeffs = np.fromiter(terms.values(), complex, count)
+        return cls(n_qubits, masks[0::2], masks[1::2], np.fromiter(terms.values(), complex, count))
+
+    def store(self) -> dict[tuple[int, int], complex]:
+        """The ``{(x, z): coefficient}`` store of these terms, in table order."""
+        return dict(zip(zip(self.x.tolist(), self.z.tolist()), self.coeffs.tolist()))
 
     @cached_property
     def letters(self) -> np.ndarray:
@@ -135,16 +146,19 @@ class PauliSum:
     Canonical form: like strings merged, coefficients below the drop tolerance
     removed, iteration in lexicographic letter order (I < X < Y < Z).
 
-    Arithmetic works on the ``{(x, z): coefficient}`` store.  The canonical
-    views (``terms``, ``flip_groups``, ``is_hermitian`` and ``dumps``) read
-    ``table``, the same terms as arrays, built once on first use.
+    A sum holds its terms as a ``{(x, z): coefficient}`` store, as ``table``
+    (the same terms as arrays, in store order), or both; each is built from
+    the other on first use.  Products and sums run on tables; scaling,
+    pruning, adjoints and comparisons on the store.  The canonical views
+    (``terms``, ``flip_groups``, ``is_hermitian`` and ``dumps``) read the
+    table.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_table")
+    __slots__ = ("n_qubits", "_store", "_table")
 
     def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex] | None = None):
         self.n_qubits = int(n_qubits)
-        self._terms: dict[tuple[int, int], complex] = terms if terms is not None else {}
+        self._store: dict[tuple[int, int], complex] | None = terms if terms is not None else {}
         self._table: _TermTable | None = None
 
     # -- constructors --------------------------------------------------------
@@ -161,18 +175,32 @@ class PauliSum:
     def from_label(cls, letters: str, coeff: complex = 1.0) -> "PauliSum":
         return cls(len(letters), {_letters_to_masks(letters): complex(coeff)})
 
+    @classmethod
+    def from_table(cls, table: _TermTable) -> "PauliSum":
+        """The sum of a table's terms (distinct keys, none to prune); the store waits for use."""
+        out = cls(table.n_qubits)
+        out._store = None
+        out._table = table
+        return out
+
     # -- canonical views ------------------------------------------------------
+
+    @property
+    def _terms(self) -> dict[tuple[int, int], complex]:
+        if self._store is None:
+            self._store = self._table.store()
+        return self._store
 
     @property
     def table(self) -> _TermTable:
         if self._table is None:
-            self._table = _TermTable(self.n_qubits, self._terms)
+            self._table = _TermTable.from_store(self.n_qubits, self._store)
         return self._table
 
     @property
     def terms(self) -> tuple[PauliString, ...]:
         order = self.table.order
-        coeffs = list(self._terms.values())
+        coeffs = self.table.coeffs.tolist()
         letters = self.table.letters[order].astype(str).tolist()
         return tuple(PauliString(coeffs[i], s) for i, s in zip(order.tolist(), letters))
 
@@ -188,7 +216,7 @@ class PauliSum:
         return self.table.groups
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._store) if self._store is not None else self._table.x.size
 
     def __iter__(self):
         return iter(self.terms)
@@ -216,10 +244,7 @@ class PauliSum:
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_size(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return PauliSum(self.n_qubits, out).prune()
+        return PauliSum.from_table(_plus(self.table, other.table))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
@@ -230,6 +255,7 @@ class PauliSum:
     def __mul__(self, scalar: complex) -> "PauliSum":
         if isinstance(scalar, PauliSum):
             return product(self, scalar)
+        scalar = complex(scalar)  # so a real factor w acts as complex(w, 0.0) on every interpreter
         return PauliSum(self.n_qubits, {k: c * scalar for k, c in self._terms.items()}).prune()
 
     __rmul__ = __mul__
@@ -256,28 +282,186 @@ def canonicalize(terms: Iterable[PauliString], tol: float = DEFAULT_TOL) -> Paul
         if t.n_qubits != n:
             raise ValueError("mixed register sizes in term list")
         k = _letters_to_masks(t.letters)
-        acc[k] = acc.get(k, 0.0) + complex(t.coeff)
+        acc[k] = acc.get(k, complex(0.0, 0.0)) + complex(t.coeff)
     return PauliSum(n, {k: c for k, c in acc.items() if abs(c) > tol})
+
+
+# -- products as array passes ----------------------------------------------------
+#
+# The kernel reproduces the dict loop ``out[k] = c if new else out[k] + c`` over the
+# string pairs bit for bit, with the complex arithmetic of CPython up to 3.13 fixed
+# in float64 ufuncs so that the output does not depend on the interpreter: the full
+# complex product, also for a real factor w taken as ``complex(w, 0.0)`` (one
+# rounding per operation, so no fused multiply-add); sums per key that start from
+# the first value and add the later ones in occurrence order (``np.add.at`` on
+# -0.0, the additive identity that keeps a first -0.0), keys in first-occurrence
+# order; a key new to a sum starts from ``complex(0.0, 0.0) + c``; and the prune
+# ``abs(c) > tol`` as ``np.hypot``, which is CPython's ``abs(complex)``.
+
+
+def _complex_product(ar, ai, br, bi):
+    """CPython's ``(ar + ai*j) * (br + bi*j)``, one float64 operation at a time."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _first_ids(x: np.ndarray, z: np.ndarray, job: np.ndarray | None = None):
+    """Ids of the distinct (job, x, z) keys, numbered in order of first occurrence.
+
+    ``job``, if given, must not decrease along the entries.  Returns each
+    entry's id and, in id order, each key's first position.  One sort
+    groups the keys with their positions in order: a quicksort of
+    (x, z, position) packed into one int64 when twice the mask width plus
+    the position bits fit 63 bits, else a stable ``np.lexsort`` on (x, z),
+    which takes any int64 masks and is several times slower.
+    """
+    m = x.size
+    if m == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    new = np.empty(m, bool)
+    new[0] = True
+    b = (m - 1).bit_length()
+    width = int((x | z).max()).bit_length()
+    if 2 * width + b <= 63:  # pack (x, z, position) into one int64 and sort that
+        packed = np.sort((((x << width) | z) << b) | np.arange(m))
+        pos = packed & ((1 << b) - 1)
+        packed >>= b
+        np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    else:
+        pos = np.lexsort((z, x))
+        xs, zs = x[pos], z[pos]
+        np.not_equal(xs[1:], xs[:-1], out=new[1:])
+        new[1:] |= zs[1:] != zs[:-1]
+    if job is not None:  # positions rise within a key, so a job change starts a group
+        job = job[pos]
+        new[1:] |= job[1:] != job[:-1]
+    starts = np.flatnonzero(new)
+    first = pos[starts]
+    by_first = np.argsort(first)
+    rank = np.empty(starts.size, np.int64)
+    rank[by_first] = np.arange(starts.size)
+    sizes = np.empty(starts.size, np.int64)
+    sizes[:-1] = starts[1:] - starts[:-1]
+    sizes[-1] = m - starts[-1]
+    ids = np.empty(m, np.int64)
+    ids[pos] = np.repeat(rank, sizes)
+    return ids, first[by_first]
+
+
+def _sums(x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray, job=None):
+    """Per-key sums as a dict forms them: ``(first position of each key, re, im)``.
+
+    Keys come in first-occurrence order; each sum starts from its first value
+    and adds the later ones in order.
+    """
+    ids, first = _first_ids(x, z, job)
+    out = np.full((2, first.size), -0.0)
+    np.add.at(out[0], ids, re)
+    np.add.at(out[1], ids, im)
+    return first, out[0], out[1]
+
+
+def _kept(first: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """The keys whose sums pass the prune ``abs(c) > DEFAULT_TOL``."""
+    keep = np.hypot(re, im) > DEFAULT_TOL
+    return first[keep], re[keep], im[keep]
+
+
+def _job_products(lefts: list[_TermTable], rights: list[_TermTable]):
+    """The products lefts[j] . rights[j], term by term as the dict loop forms them.
+
+    Pairs run over the left terms, then the right terms, in table order; each
+    product keeps the keys above ``DEFAULT_TOL``.  Returns ``(job, x, z, re,
+    im)``: the kept terms, job by job, each product's in first-occurrence order.
+    """
+    na = np.array([t.x.size for t in lefts], np.int64)
+    nb = np.array([t.x.size for t in rights], np.int64)
+    counts = na * nb
+    job = np.repeat(np.arange(counts.size), counts)
+    local = np.arange(job.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = nb[job]
+    ia = np.repeat(np.cumsum(na) - na, counts) + local // width
+    ib = np.repeat(np.cumsum(nb) - nb, counts) + local % width
+    del local, width
+    ax, az, ac = (np.concatenate(arrays) for arrays in zip(*((t.x, t.z, t.coeffs) for t in lefts)))
+    bx, bz, bc = (np.concatenate(arrays) for arrays in zip(*((t.x, t.z, t.coeffs) for t in rights)))
+    x1, z1, x2, z2 = ax[ia], az[ia], bx[ib], bz[ib]
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    # i**k with k = nY(1) + nY(2) - nY(3) (mod 4); uint8 wraps mod 256, a multiple of 4
+    k = np.bitwise_count(ax & az)[ia] + np.bitwise_count(bx & bz)[ib] - np.bitwise_count(x3 & z3)
+    k &= 3
+    flip = (np.bitwise_count(z1 & x2) & 1).astype(bool)
+    del x1, z1, x2, z2
+    re, im = _complex_product(ac.real[ia], ac.imag[ia], bc.real[ib], bc.imag[ib])
+    re, im = _complex_product(re, im, _PHASE_ARRAY.real[k], _PHASE_ARRAY.imag[k])
+    np.negative(re, out=re, where=flip)
+    np.negative(im, out=im, where=flip)
+    first, re, im = _kept(*_sums(x3, z3, re, im, job))
+    return job[first], x3[first], z3[first], re, im
+
+
+def _plus(a: _TermTable, b: _TermTable) -> _TermTable:
+    """``a + b`` as the dict loop ``out[k] = out.get(k, 0j) + c`` over a copy of a, pruned.
+
+    a's keys keep their places and b's new keys follow; a new key's value is
+    ``complex(0.0, 0.0) + c``, which turns a -0.0 part into +0.0.
+    """
+    x, z = np.concatenate([a.x, b.x]), np.concatenate([a.z, b.z])
+    coeffs = np.concatenate([a.coeffs, b.coeffs])
+    first, re, im = _sums(x, z, coeffs.real, coeffs.imag)
+    # a's keys are distinct and come first, so the keys new to a are those past len(a)
+    re[a.x.size :] += 0.0
+    im[a.x.size :] += 0.0
+    first, re, im = _kept(first, re, im)
+    return _table(a.n_qubits, x[first], z[first], re, im)
+
+
+def _table(n_qubits: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray):
+    coeffs = np.empty(re.size, complex)
+    coeffs.real = re  # not re + 1j*im, which turns an imaginary -0.0 into +0.0
+    coeffs.imag = im
+    return _TermTable(n_qubits, x, z, coeffs)
+
+
+def sum_of_products(n_qubits: int, slices) -> PauliSum:
+    """Sum_j w_j * (A_j . B_j) over the jobs of every slice, pruned.
+
+    ``slices`` yields ``(lefts, rights, weights)``: the sums A_j and B_j and
+    the float w_j of each job.  Equals, bit for bit, adding each product's
+    terms times ``complex(w_j, 0.0)`` into one dict job by job.  A slice's
+    string pairs live only while it is formed; its scaled terms are kept in
+    order and summed per key once all slices are in.
+    """
+    chunks = []
+    for lefts, rights, weights in slices:
+        for op in itertools.chain(lefts, rights):
+            if op.n_qubits != n_qubits:
+                raise ValueError(f"register size mismatch: {op.n_qubits} vs {n_qubits}")
+        job, x, z, re, im = _job_products([a.table for a in lefts], [b.table for b in rights])
+        w = np.array(weights, float)[job]
+        chunks.append((x, z, *_complex_product(re, im, w, 0.0)))
+    if not chunks:
+        return PauliSum.zero(n_qubits)
+    x, z, re, im = (np.concatenate(c) for c in zip(*chunks))
+    del chunks
+    first, re, im = _kept(*_sums(x, z, re, im))
+    return PauliSum.from_table(_table(n_qubits, x[first], z[first], re, im))
+
+
+def products(lefts: list[PauliSum], rights: list[PauliSum]) -> list[PauliSum]:
+    """The products lefts[j] . rights[j], formed in one batch."""
+    for a, b in zip(lefts, rights, strict=True):
+        a._check_size(b)
+    job, x, z, re, im = _job_products([a.table for a in lefts], [b.table for b in rights])
+    bounds = np.searchsorted(job, np.arange(len(lefts) + 1)).tolist()
+    return [
+        PauliSum.from_table(_table(a.n_qubits, x[i:j], z[i:j], re[i:j], im[i:j]))
+        for a, i, j in zip(lefts, bounds, bounds[1:])
+    ]
 
 
 def product(a: PauliSum, b: PauliSum) -> PauliSum:
     """Distributed operator product with single-qubit Pauli phase rules."""
-    a._check_size(b)
-    out: dict[tuple[int, int], complex] = {}
-    bt = [(x2, z2, (x2 & z2).bit_count(), c2) for (x2, z2), c2 in b._terms.items()]
-    for (x1, z1), c1 in a._terms.items():
-        y1 = (x1 & z1).bit_count()
-        for x2, z2, y2, c2 in bt:
-            x3 = x1 ^ x2
-            z3 = z1 ^ z2
-            k = (y1 + y2 - (x3 & z3).bit_count()) & 3
-            c = c1 * c2 * _PHASES[k]
-            if (z1 & x2).bit_count() & 1:
-                c = -c
-            key = (x3, z3)
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return PauliSum(a.n_qubits, out).prune()
+    return products([a], [b])[0]
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -292,30 +476,71 @@ def adjoint(a: PauliSum) -> PauliSum:
 # -- sector matrices -----------------------------------------------------------
 
 
+_SLICE_ENTRIES = 1 << 16  # (groups or terms) x columns per vectorised pass: 1 MB of complex values
+
+
+def _group_slices(sizes: np.ndarray, per_slice: int):
+    """``(lo, hi)`` runs of whole groups of about per_slice items, at least one group each."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < sizes.size:
+        start = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + per_slice, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> np.ndarray:
     """Matrix of the sum restricted to the span of the given basis indices.
 
-    Each flip group fills its elements in one step.  The call raises if an
-    out-of-span element (it belongs to one group) exceeds tol, which validates
-    the sector restriction of a conserving Hamiltonian; ``tol=np.inf`` returns
-    the restricted entries of an operator that leaves the span.
+    Each flip group that maps a spanned index into the span fills its elements
+    in one step.  The call raises if an out-of-span element (it belongs to one
+    group) exceeds tol, which validates the sector restriction of a conserving
+    Hamiltonian; ``tol=np.inf`` returns the restricted entries of an operator
+    that leaves the span.  Groups are taken a slice at a time, so no
+    temporary exceeds about ``_SLICE_ENTRIES`` entries beyond one group's
+    parities; the groups that map no spanned index into the span are checked
+    together, a slice of their terms at a time.
     """
     arr = np.fromiter(indices, dtype=np.int64)
     dim = arr.size
     order = np.argsort(arr, kind="stable")
     sorted_arr = arr[order]
-    cols = np.arange(dim)
+    groups = op.flip_groups
+    flips = np.fromiter((x for x, _, _ in groups), np.int64, len(groups))
+    per_slice = max(1, _SLICE_ENTRIES // max(dim, 1))
     mat = np.zeros((dim, dim), dtype=complex)
     worst = 0.0
-    for x, zs, coeffs in op.flip_groups:
-        par = np.bitwise_count(arr[:, None] & np.array(zs, dtype=np.int64)) & 1
-        vals = (1.0 - 2.0 * par) @ coeffs
-        targets = arr ^ x
+    outside = []  # groups mapping no spanned index into the span
+    for lo in range(0, flips.size, per_slice):
+        targets = flips[lo : lo + per_slice, None] ^ arr
         pos = np.minimum(np.searchsorted(sorted_arr, targets), dim - 1)
         hit = sorted_arr[pos] == targets
-        mat[order[pos[hit]], cols[hit]] = vals[hit]
-        if not hit.all():
-            worst = max(worst, float(np.abs(vals[~hit]).max()))
+        some = hit.any(axis=1)
+        outside += (np.flatnonzero(~some) + lo).tolist()
+        inside = (np.flatnonzero(some) + lo).tolist()
+        vals = np.empty((len(inside), dim), complex)
+        for k, g in enumerate(inside):
+            _, zs, coeffs = groups[g]
+            par = np.bitwise_count(arr[:, None] & np.array(zs, dtype=np.int64)) & 1
+            vals[k] = (1.0 - 2.0 * par) @ coeffs
+        pos, hit = pos[some], hit[some]
+        # an element (row, column) belongs to the one group with flip arr[row] ^ arr[column]
+        mat[order[pos[hit]], np.nonzero(hit)[1]] = vals[hit]
+        worst = max(worst, float(np.abs(vals[~hit]).max(initial=0.0)))
+    outside = [groups[g] for g in outside]
+    if outside and dim:
+        sizes = np.array([len(zs) for _, zs, _ in outside])
+        zs = itertools.chain.from_iterable(zs for _, zs, _ in outside)
+        zs = np.fromiter(zs, np.int64, sizes.sum())
+        coeffs = np.concatenate([c for _, _, c in outside])
+        starts = np.cumsum(sizes) - sizes
+        for lo, hi in _group_slices(sizes, per_slice):
+            t0, t1 = starts[lo], starts[hi - 1] + sizes[hi - 1]
+            odd = (np.bitwise_count(arr[:, None] & zs[t0:t1]) & 1).astype(bool)  # (columns, terms)
+            signed = np.where(odd, -coeffs[t0:t1], coeffs[t0:t1])
+            vals = np.add.reduceat(signed, starts[lo:hi] - t0, axis=1)
+            worst = max(worst, float(np.abs(vals).max()))
     if worst > tol:
         raise ValueError(f"operator leaves the subspace (matrix element {worst:.3e})")
     return mat

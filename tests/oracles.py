@@ -25,6 +25,10 @@ The Pauli-sum view references walk the sum's ``{(x, z): coefficient}`` store
 term by term in Python: they spell the letters one qubit at a time, sort them
 as Python strings and apply each i**nY with Python's complex product, where
 the package reads its term table with array operations.
+
+The assembly references form products, sums, boson ladders, Hamiltonian parts
+and charges one string pair and one term at a time into dicts, the loops whose
+arithmetic the package's batched array passes reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ from fractions import Fraction
 import numpy as np
 
 from lfyukawa.fock import FockState, ModeConfig, k_of, q_of
+from lfyukawa.hamiltonian import bracket, self_inertia
+from lfyukawa.pauli import (
+    PauliSum,
+    adjoint,
+    boson_occupancy_raisers,
+    fermion_ladder,
+    proj0,
+    proj1,
+    sigma_minus,
+    sigma_plus,
+)
 
 
 def bracket_exact(n: int, m: int) -> Fraction:
@@ -396,3 +411,310 @@ def rabi_transition(v: float, delta: float, times: np.ndarray) -> np.ndarray:
     if omega == 0.0:
         return np.zeros_like(times)
     return (v**2 / omega**2) * np.sin(omega * times) ** 2
+
+
+# -- term-by-term assembly ---------------------------------------------------------
+#
+# The package forms products and Hamiltonian parts in batched array passes; these
+# references are the dict loops those passes reproduce bit for bit: every string
+# pair, every scaled term and every added term goes into a dict one at a time.
+# They take the package's single-qubit and fermion ladder builders and momentum
+# brackets as given.
+
+
+def product_reference(a, b):
+    """The distributed product of two sums, one string pair at a time into a dict."""
+    out: dict[tuple[int, int], complex] = {}
+    bt = [(x2, z2, (x2 & z2).bit_count(), c2) for (x2, z2), c2 in b._terms.items()]
+    for (x1, z1), c1 in a._terms.items():
+        y1 = (x1 & z1).bit_count()
+        for x2, z2, y2, c2 in bt:
+            x3 = x1 ^ x2
+            z3 = z1 ^ z2
+            k = (y1 + y2 - (x3 & z3).bit_count()) & 3
+            c = c1 * c2 * _I_POWERS[k]
+            if (z1 & x2).bit_count() & 1:
+                c = -c
+            key = (x3, z3)
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+    return PauliSum(a.n_qubits, out).prune()
+
+
+def accumulate_reference(acc: dict, op, scale: float):
+    """Add scale * op into acc term by term.
+
+    The scale enters as ``complex(scale, 0.0)``: the product CPython up to 3.13
+    forms for ``c * scale``, and the one the package fixes on every interpreter.
+    """
+    w = complex(scale, 0.0)
+    for key, c in op._terms.items():
+        val = acc.get(key)
+        acc[key] = c * w if val is None else val + c * w
+
+
+def add_reference(a, b):
+    """a + b: a copy of a's store, then each term of b added with ``get(key, 0j) + c``.
+
+    The start ``complex(0.0, 0.0)`` is explicit, so a new key's -0.0 parts turn
+    into +0.0 as CPython up to 3.13 adds ``0.0 + c``.
+    """
+    out = dict(a._terms)
+    for key, c in b._terms.items():
+        out[key] = out.get(key, complex(0.0, 0.0)) + c
+    return PauliSum(a.n_qubits, out).prune()
+
+
+_FACTORS = {"I+": proj0, "I-": proj1, "s+": sigma_plus, "s-": sigma_minus}
+
+
+def boson_ladder_reference(mode: int, dagger: bool, layout):
+    """The binary-encoded boson ladder: each word's factors multiplied in, words added up."""
+    n = layout.total_qubits
+    start, _ = layout.boson_block(mode)
+    total = PauliSum.zero(n)
+    for coeff, factors in boson_occupancy_raisers(layout.config.boson_modals[mode - 1]):
+        term = PauliSum.identity(n, coeff)
+        for offset, factor in enumerate(factors):
+            term = product_reference(term, _FACTORS[factor](n, start + offset))
+        total = add_reference(total, term)
+    return total if dagger else adjoint(total)
+
+
+class _LaddersReference:
+    """Ladder operators and their bilinear products, each formed once, by the dict product."""
+
+    def __init__(self, layout, cross_species_string: bool):
+        self.layout = layout
+        self.cross = cross_species_string
+        self._ops: dict[tuple, PauliSum] = {}
+
+    def f(self, species: str, mode: int, dagger: bool):
+        key = (species, mode, dagger)
+        if key not in self._ops:
+            self._ops[key] = fermion_ladder(species, mode, dagger, self.layout, self.cross)
+        return self._ops[key]
+
+    def c(self, mode: int, dagger: bool):
+        """c_n = a_n / sqrt(n)."""
+        key = ("c", mode, dagger)
+        if key not in self._ops:
+            ladder = boson_ladder_reference(mode, dagger, self.layout)
+            self._ops[key] = ladder * (1.0 / math.sqrt(mode))
+        return self._ops[key]
+
+    def f_bilinear(self, species: str, k_dag: int, m_ann: int):
+        key = ("fb", species, k_dag, m_ann)
+        if key not in self._ops:
+            self._ops[key] = product_reference(
+                self.f(species, k_dag, True), self.f(species, m_ann, False)
+            )
+        return self._ops[key]
+
+    def c_bilinear(self, l_dag: int, n_ann: int):
+        key = ("cb", l_dag, n_ann)
+        if key not in self._ops:
+            self._ops[key] = product_reference(self.c(l_dag, True), self.c(n_ann, False))
+        return self._ops[key]
+
+    def c_pair(self, l: int, n: int, dagger: bool):
+        key = ("cp", l, n, dagger)
+        if key not in self._ops:
+            self._ops[key] = product_reference(self.c(l, dagger), self.c(n, dagger))
+        return self._ops[key]
+
+
+def build_part_reference(
+    part: str,
+    config,
+    params,
+    layout,
+    cross_species_string: bool = True,
+):
+    """One Hamiltonian part, every product and every scaled term added one at a time."""
+    params.validate(config)
+    nf, na, nb = config.n_fermion_modes, config.n_antifermion_modes, config.n_boson_modes
+    g = params.g
+    mf, mb = params.fermion_mass, params.boson_mass
+    lam_cut = params.inertia_cutoff
+    lad = _LaddersReference(layout, cross_species_string)
+    acc: dict = {}
+
+    if part == "HM":
+        for n in range(1, nb + 1):
+            coeff = mb**2
+            if params.include_inertias:
+                coeff += g**2 * self_inertia("alpha", n, lam_cut)
+            number = product_reference(
+                boson_ladder_reference(n, True, layout), boson_ladder_reference(n, False, layout)
+            )
+            accumulate_reference(acc, number, coeff / n)
+        for n in range(1, nf + 1):
+            coeff = mf**2
+            if params.include_inertias:
+                coeff += g**2 * self_inertia("beta", n, lam_cut)
+            accumulate_reference(acc, lad.f_bilinear("fermion", n, n), coeff / n)
+        for n in range(1, na + 1):
+            coeff = mf**2
+            if params.include_inertias:
+                coeff += g**2 * self_inertia("gamma", n, lam_cut)
+            accumulate_reference(acc, lad.f_bilinear("antifermion", n, n), coeff / n)
+
+    elif part == "HV":
+        # b_k^dag b_m c_l^dag + h.c. with m = k + l, and the d twin
+        for species, n_modes in (("fermion", nf), ("antifermion", na)):
+            for k in range(1, n_modes + 1):
+                for l in range(1, nb + 1):
+                    m = k + l
+                    if m > n_modes:
+                        continue
+                    w = g * mf * (bracket(k + l, -m) + bracket(k, l - m))
+                    if w == 0.0:
+                        continue
+                    accumulate_reference(
+                        acc, product_reference(lad.f_bilinear(species, k, m), lad.c(l, True)), w
+                    )
+                    accumulate_reference(
+                        acc, product_reference(lad.f_bilinear(species, m, k), lad.c(l, False)), w
+                    )
+        # pair production/annihilation: -(b_k d_m c_l^dag + d_m^dag b_k^dag c_l)
+        for k in range(1, nf + 1):
+            for m in range(1, na + 1):
+                l = k + m
+                if l > nb:
+                    continue
+                w = g * mf * (bracket(k - l, m) + bracket(k, m - l))
+                if w == 0.0:
+                    continue
+                pair = product_reference(lad.f("fermion", k, False), lad.f("antifermion", m, False))
+                accumulate_reference(acc, product_reference(pair, lad.c(l, True)), -w)
+                pair_dag = product_reference(
+                    lad.f("antifermion", m, True), lad.f("fermion", k, True)
+                )
+                accumulate_reference(acc, product_reference(pair_dag, lad.c(l, False)), -w)
+
+    elif part == "HS":
+        for species, n_modes in (("fermion", nf), ("antifermion", na)):
+            for k in range(1, n_modes + 1):
+                for m in range(1, n_modes + 1):
+                    for l in range(1, nb + 1):
+                        n = k + l - m
+                        if not 1 <= n <= nb:
+                            continue
+                        w = g**2 * (bracket(k - n, l - m) + bracket(k + l, -m - n))
+                        if w == 0.0:
+                            continue
+                        term = product_reference(
+                            lad.f_bilinear(species, k, m), lad.c_bilinear(l, n)
+                        )
+                        accumulate_reference(acc, term, w)
+        # d_k b_m c_l^dag c_n^dag + h.c.: pair annihilation into two bosons
+        for k in range(1, na + 1):
+            for m in range(1, nf + 1):
+                for l in range(1, nb + 1):
+                    n = k + m - l
+                    if not 1 <= n <= nb:
+                        continue
+                    w = g**2 * bracket(l - k, n - m)
+                    if w == 0.0:
+                        continue
+                    pair = product_reference(
+                        lad.f("antifermion", k, False), lad.f("fermion", m, False)
+                    )
+                    accumulate_reference(acc, product_reference(pair, lad.c_pair(l, n, True)), w)
+                    pair_dag = product_reference(
+                        lad.f("fermion", m, True), lad.f("antifermion", k, True)
+                    )
+                    accumulate_reference(
+                        acc, product_reference(pair_dag, lad.c_pair(n, l, False)), w
+                    )
+
+    elif part == "HF":
+        # b_k^dag b_m c_l^dag c_n^dag + h.c. with m = k + l + n, and the d twin
+        for species, n_modes in (("fermion", nf), ("antifermion", na)):
+            for k in range(1, n_modes + 1):
+                for l in range(1, nb + 1):
+                    for n in range(1, nb + 1):
+                        m = k + l + n
+                        if m > n_modes:
+                            continue
+                        w = g**2 * bracket(k + l, n - m)
+                        if w == 0.0:
+                            continue
+                        accumulate_reference(
+                            acc,
+                            product_reference(
+                                lad.f_bilinear(species, k, m), lad.c_pair(l, n, True)
+                            ),
+                            w,
+                        )
+                        accumulate_reference(
+                            acc,
+                            product_reference(
+                                lad.f_bilinear(species, m, k), lad.c_pair(n, l, False)
+                            ),
+                            w,
+                        )
+        # boson splitting into a pair plus a boson: b_k^dag d_m^dag c_l^dag c_n + h.c.
+        for k in range(1, nf + 1):
+            for m in range(1, na + 1):
+                for l in range(1, nb + 1):
+                    n = k + l + m
+                    if n > nb:
+                        continue
+                    w = g**2 * (bracket(k - n, m + l) + bracket(k + l, m - n))
+                    if w == 0.0:
+                        continue
+                    pair_dag = product_reference(
+                        lad.f("fermion", k, True), lad.f("antifermion", m, True)
+                    )
+                    accumulate_reference(
+                        acc, product_reference(pair_dag, lad.c_bilinear(l, n)), w
+                    )
+                    pair = product_reference(
+                        lad.f("antifermion", m, False), lad.f("fermion", k, False)
+                    )
+                    c_nl = product_reference(lad.c(n, True), lad.c(l, False))
+                    accumulate_reference(acc, product_reference(pair, c_nl), w)
+
+    return PauliSum(layout.total_qubits, acc).prune()
+
+
+def build_h_reference(
+    config,
+    params,
+    layout,
+    parts: tuple[str, ...] = ("HM", "HV", "HS", "HF"),
+    cross_species_string: bool = True,
+):
+    """Canonical sum of the requested Hamiltonian parts (all four by default)."""
+    total = PauliSum.zero(layout.total_qubits)
+    for part in parts:
+        total = add_reference(
+            total, build_part_reference(part, config, params, layout, cross_species_string)
+        )
+    return total
+
+
+def build_charge_reference(which: str, config, layout):
+    """Diagonal charge operator: harmonic resolution K or baryon number Q."""
+    acc: dict = {}
+    lad = _LaddersReference(layout, True)
+    if which == "K":
+        for n in range(1, config.n_boson_modes + 1):
+            number = product_reference(
+                boson_ladder_reference(n, True, layout), boson_ladder_reference(n, False, layout)
+            )
+            accumulate_reference(acc, number, float(n))
+        for n in range(1, config.n_fermion_modes + 1):
+            accumulate_reference(acc, lad.f_bilinear("fermion", n, n), float(n))
+        for n in range(1, config.n_antifermion_modes + 1):
+            accumulate_reference(acc, lad.f_bilinear("antifermion", n, n), float(n))
+    elif which == "Q":
+        for n in range(1, config.n_fermion_modes + 1):
+            accumulate_reference(acc, lad.f_bilinear("fermion", n, n), 1.0)
+        for n in range(1, config.n_antifermion_modes + 1):
+            accumulate_reference(acc, lad.f_bilinear("antifermion", n, n), -1.0)
+    else:
+        raise ValueError(f"unknown charge {which!r}")
+    return PauliSum(layout.total_qubits, acc).prune()

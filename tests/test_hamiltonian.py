@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import fields, replace
@@ -9,6 +10,7 @@ import pytest
 
 from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector
 from lfyukawa.hamiltonian import (
+    PARTS,
     ModelParams,
     bracket,
     build_charge,
@@ -18,7 +20,16 @@ from lfyukawa.hamiltonian import (
 )
 from lfyukawa.pauli import adjoint, commutator, dumps, loads, subspace_matrix
 
-from oracles import FockOracle, bracket_exact, flip_groups_reference, inertia_exact, to_matrix
+from oracles import (
+    FockOracle,
+    bracket_exact,
+    build_charge_reference,
+    build_h_reference,
+    build_part_reference,
+    flip_groups_reference,
+    inertia_exact,
+    to_matrix,
+)
 
 
 def test_bracket_reference_values():
@@ -247,3 +258,27 @@ def test_hamiltonians_reproduce_golden_hashes(run):
         assert [(x, zs) for x, zs, _ in groups] == [(x, zs) for x, zs, _ in ref]
         assert [c.tobytes() for _, _, c in groups] == [c.tobytes() for _, _, c in ref]
     assert hashes == manifest["hamiltonian_hashes"]
+
+
+def _same_assembly(got, want):
+    assert dumps(got) == dumps(want)
+    assert list(got._terms) == list(want._terms)
+    assert np.array(list(got._terms.values()), complex).tobytes() == (
+        np.array(list(want._terms.values()), complex).tobytes()
+    )
+
+
+@pytest.mark.parametrize("n_modes", [3, 4, 5, 6])
+def test_assembly_equals_the_term_by_term_reference(n_modes):
+    """Every part, the sum and the charges equal the dict-loop assembly bit for bit."""
+    config = ModeConfig.uniform(n_modes, 3)
+    layout = QubitLayout(config)
+    for coupling, cross, inertias in itertools.product((1.0, 13.315), (True, False), (False, True)):
+        params = ModelParams(coupling=coupling, include_inertias=inertias)
+        for part in PARTS:
+            want = build_part_reference(part, config, params, layout, cross)
+            _same_assembly(build_part(part, config, params, layout, cross), want)
+        want = build_h_reference(config, params, layout, cross_species_string=cross)
+        _same_assembly(build_h(config, params, layout, cross_species_string=cross), want)
+    for which in "KQ":
+        _same_assembly(build_charge(which, config, layout), build_charge_reference(which, config, layout))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -17,14 +18,29 @@ from lfyukawa.pauli import (
     fermion_ladder,
     loads,
     product,
+    products,
     proj0,
     proj1,
     sigma_minus,
     sigma_plus,
     subspace_matrix,
+    sum_of_products,
 )
 
-from oracles import apply, dumps_reference, flip_groups_reference, terms_reference, to_matrix
+from lfyukawa import pauli
+from lfyukawa.pauli import DEFAULT_TOL
+
+from oracles import (
+    accumulate_reference,
+    add_reference,
+    apply,
+    boson_ladder_reference,
+    dumps_reference,
+    flip_groups_reference,
+    product_reference,
+    terms_reference,
+    to_matrix,
+)
 
 _MATS = {
     "I": np.eye(2),
@@ -180,6 +196,35 @@ def test_subspace_matrix_detects_leakage():
     op = PauliSum.from_label("XI")
     with pytest.raises(ValueError):
         subspace_matrix(op, [0, 1])  # X on qubit 0 maps span{00,01} outside itself
+
+
+@pytest.mark.parametrize("slice_entries", [1, 1 << 16])
+def test_subspace_matrix_checks_groups_that_map_nothing_into_the_span(monkeypatch, slice_entries):
+    monkeypatch.setattr(pauli, "_SLICE_ENTRIES", slice_entries)
+    # on span{00, 01}, IX and ZZ stay inside; the XI/XZ group maps both states out and
+    # is the only group that leaks: 1e-3 + 1e-3 on 00, 1e-3 - 1e-3 on 01
+    inner = canonicalize([PauliString(1.0, "IX"), PauliString(0.5, "ZZ")])
+    leak = canonicalize([PauliString(1e-3, "XI"), PauliString(1e-3, "XZ")])
+    with pytest.raises(ValueError, match=r"matrix element 2\.000e-03"):
+        subspace_matrix(inner + leak, [0, 1])
+    assert np.array_equal(subspace_matrix(inner + leak, [0, 1], tol=1e-2), subspace_matrix(inner, [0, 1]))
+    # X + iY on qubit 0 is 2|0><1|: its two terms cancel on the whole span
+    quiet = canonicalize([PauliString(1.0, "XI"), PauliString(1j, "YI")])
+    assert np.array_equal(subspace_matrix(inner + quiet, [0, 1], tol=0.0), subspace_matrix(inner, [0, 1]))
+
+
+def test_subspace_matrix_slices_change_nothing(monkeypatch):
+    layout = QubitLayout(ModeConfig.uniform(3, 3))
+    op = boson_ladder(2, True, layout) + fermion_ladder("fermion", 1, False, layout) * 1e-6
+    op = op + product(op, adjoint(op))
+    indices = [0, 1, 5, 17, 40, 64, 301, 1024, 2049]
+    whole = subspace_matrix(op, indices, tol=np.inf)
+    with pytest.raises(ValueError) as err:
+        subspace_matrix(op, indices)
+    monkeypatch.setattr(pauli, "_SLICE_ENTRIES", 5)
+    assert np.array_equal(subspace_matrix(op, indices, tol=np.inf), whole)
+    with pytest.raises(ValueError, match=re.escape(str(err.value))):
+        subspace_matrix(op, indices)
 
 
 # -- properties on random sums ------------------------------------------------------
@@ -415,3 +460,82 @@ def test_table_views_equal_the_per_term_reference(op):
     assert [c.tobytes() for _, _, c in groups] == [c.tobytes() for _, _, c in ref]
     for tol in (0.0, 0.5):
         assert op.is_hermitian(tol) == all(abs(c.imag) <= tol for _, c in want)
+
+
+# -- products and sums against the term-by-term reference ---------------------------
+
+# Parts that cancel, repeat or sit at the drop tolerance, and floats whose products stay finite.
+_product_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, DEFAULT_TOL, 1e-13]),
+    st.floats(-1e100, 1e100),
+)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two sums on 1-63 qubits; narrow masks make strings meet and cancel.
+
+    Some pairs act on disjoint qubits (the first on the low bits, the second
+    on the rest), as the Hamiltonian's fermion and boson operands do.
+    """
+    n = draw(st.integers(1, 63))
+    full = (1 << n) - 1
+    mask = st.one_of(st.integers(0, 3), st.integers(0, full)).map(lambda m: m & full)
+    low = (1 << draw(st.integers(0, n))) - 1 if draw(st.booleans()) else full
+
+    def one(keep):
+        entries = draw(st.lists(st.tuples(mask, mask, _product_parts, _product_parts), max_size=12))
+        return PauliSum(n, {(x & keep, z & keep): complex(re, im) for x, z, re, im in entries})
+
+    return one(low), one(full if low == full else full & ~low)
+
+
+def _same_store(got: PauliSum, want: PauliSum):
+    assert list(got._terms) == list(want._terms)
+    assert _bits(list(got._terms.values())) == _bits(list(want._terms.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operand_pairs())
+def test_product_and_sum_equal_the_dict_reference_bit_for_bit(pair):
+    a, b = pair
+    _same_store(product(a, b), product_reference(a, b))
+    _same_store(product(b, a), product_reference(b, a))
+    _same_store(product(a, a), product_reference(a, a))
+    _same_store(a + b, add_reference(a, b))
+    _same_store(b + a, add_reference(b, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operand_pairs(), st.lists(_product_parts, min_size=3, max_size=3))
+def test_batched_products_equal_the_dict_reference_bit_for_bit(pair, weights):
+    """Jobs batched together keep their own keys, order and sums."""
+    a, b = pair
+    lefts, rights = [a, b, a], [b, a, a]
+    for got, left, right in zip(products(lefts, rights), lefts, rights):
+        _same_store(got, product_reference(left, right))
+    acc: dict = {}
+    for left, right, w in zip(lefts, rights, weights):
+        accumulate_reference(acc, product_reference(left, right), w)
+    want = PauliSum(a.n_qubits, acc).prune()
+    got = sum_of_products(a.n_qubits, [([a], [b], weights[:1]), (lefts[1:], rights[1:], weights[1:])])
+    _same_store(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 3)), max_size=40))
+def test_packed_and_lexsort_grouping_agree(entries):
+    """Bit 62 set on every x keeps each key apart from the others but takes the lexsort path."""
+    x, z, job = (np.array([entry[i] for entry in entries], np.int64) for i in range(3))
+    job = np.sort(job)
+    for jobs in (None, job):
+        narrow = pauli._first_ids(x, z, jobs)
+        wide = pauli._first_ids(x | (1 << 62), z, jobs)
+        assert all(np.array_equal(a, b) for a, b in zip(narrow, wide))
+
+
+@pytest.mark.parametrize("modals", [1, 3, 7, 15])
+def test_boson_ladder_equals_the_term_by_term_reference(modals):
+    layout = QubitLayout(ModeConfig(2, 1, 2, (3, modals)))
+    for dagger in (True, False):
+        _same_store(boson_ladder(2, dagger, layout), boson_ladder_reference(2, dagger, layout))

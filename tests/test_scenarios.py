@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +277,37 @@ def test_cli_list_and_sector(tmp_path, capsys):
     assert main(["sector", str(cfg_path), "--K", "2", "--Q", "1"]) == 0
     out = capsys.readouterr().out
     assert "010 000 00 00 00" in out and "100 000 01 00 00" in out
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package first on the path."""
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_lfyukawa_runs_the_cli():
+    done = _python("-m", "lfyukawa", "list-scenarios")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[0] == "coupling-sweep"
+    assert set(PRESETS) <= set(done.stdout.split())
+
+
+def test_trotter_run_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs 10-20 ms to import; a bare np.unique pulls it in through np.ma.is_masked."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scenario": "hardware-minimal", "output_dir": str(tmp_path / "out")}))
+    code = (
+        "import sys, numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from lfyukawa.cli import main\n"
+        "assert main(['run', sys.argv[1]]) == 0\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    done = _python("-c", code, str(config))
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()[-2:]
+    assert after == "False" or before == "True"
 
 
 def test_cli_sector_negative_k_is_a_usage_error(tmp_path, capsys):
