@@ -24,7 +24,6 @@ from .pauli import (
     adjoint,
     boson_ladder,
     canonicalize,
-    commutator,
     fermion_ladder,
     product,
     subspace_matrix,
@@ -33,7 +32,6 @@ from .hamiltonian import (
     PARTS,
     ModelParams,
     bracket,
-    build_charge,
     build_h,
     build_part,
     self_inertia,
@@ -79,14 +77,12 @@ __all__ = [
     "adjoint",
     "boson_ladder",
     "canonicalize",
-    "commutator",
     "fermion_ladder",
     "product",
     "subspace_matrix",
     "PARTS",
     "ModelParams",
     "bracket",
-    "build_charge",
     "build_h",
     "build_part",
     "self_inertia",

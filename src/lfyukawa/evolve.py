@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fock import enumerate_sector  # noqa: F401  bench/spans.py wraps the name here
-from .pauli import COMPARE_TOL, PauliSum, _PHASES, subspace_matrix
+from .pauli import COMPARE_TOL, I_POWERS, PauliSum, subspace_matrix
 
 __all__ = [
     "SECTOR_DIM_CAP",
@@ -50,7 +50,7 @@ def _index_array(n_qubits: int) -> np.ndarray:
 
 def _term_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
     """Per-source-index phase of a unit string: i**nY * (-1)**popcount(i & z)."""
-    eta = _PHASES[(x & z).bit_count() & 3]
+    eta = I_POWERS[(x & z).bit_count() & 3]
     if z == 0:
         return np.full(idx.shape, eta)
     par = (np.bitwise_count(idx & z) & 1).astype(np.int8)
@@ -148,10 +148,11 @@ def make_plan(h: PauliSum, t: float, n_steps: int, order: int = 1) -> TrotterPla
     base = []
     # diagonal group first, then by flip positions; within a group by the Z letters
     # outside the flips, then the Y letters among them: the letter strings' lexicographic order
-    groups = sorted(h.flip_groups, key=lambda g: (g[0] != 0, _flip_positions(g[0], n)))
-    for x, zs, coeffs in groups:
-        for z, c in sorted(zip(zs, coeffs), key=lambda e: (e[0] & ~x, e[0] & x)):
-            c = float((c * _PHASES[-(x & z).bit_count() & 3]).real)  # unfold i**nY
+    flips, starts, zs, coeffs = h.flip_groups
+    flips, starts, zs, coeffs = flips.tolist(), starts.tolist(), zs.tolist(), coeffs.real.tolist()
+    for g in sorted(range(len(flips)), key=lambda g: (flips[g] != 0, _flip_positions(flips[g], n))):
+        x, group = flips[g], slice(starts[g], starts[g + 1])
+        for z, c in sorted(zip(zs[group], coeffs[group]), key=lambda e: (e[0] & ~x, e[0] & x)):
             if x == 0 and z == 0:
                 identity_coeff = c
             else:
@@ -289,7 +290,7 @@ def _compile_block(run: list, n: int, union: int, checks):
             w_pos = out_masks.index(z_out)
         else:
             w_pos = -1
-        eta = _PHASES[(x & z).bit_count() & 3]
+        eta = I_POWERS[(x & z).bit_count() & 3]
         compiled_rots.append((localize(x), localize(z & support_mask), eta, angle, w_pos))
     if len(out_masks) > _SIG_MASK_CAP:
         return ("rots", run)

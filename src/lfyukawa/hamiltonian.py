@@ -1,11 +1,12 @@
-"""Light-front charges and the four-part Yukawa Hamiltonian as Pauli sums.
+"""The four-part light-front Yukawa Hamiltonian as a Pauli sum.
 
 ``H = H_M + H_V + H_S + H_F``: a mass/number part, a cubic vertex part and two
 quartic parts (seagull and fork).  Every interaction coefficient is a momentum
 bracket evaluated explicitly, so only momentum-conserving index tuples emit
-terms and the assembled operator commutes with both charges by construction.
+terms and the assembled operator commutes with both light-front charges, the
+harmonic resolution K and the baryon number Q, by construction.
 
-Each part (and each charge) is a list of jobs ``w * (A . B)``: a weight and
+Each part is a list of jobs ``w * (A . B)``: a weight and
 two named operands, each a ladder operator or the product of two, from a
 per-build cache that forms all the products a part needs in one batch.  The
 jobs go to ``pauli.sum_of_products`` in slices, one per outer mode index,
@@ -29,7 +30,6 @@ __all__ = [
     "self_inertia",
     "build_part",
     "build_h",
-    "build_charge",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -310,20 +310,3 @@ def build_h(
         total = total + _build_part(part, config, params, lad)
     return total
 
-
-def build_charge(which: str, config: ModeConfig, layout: QubitLayout) -> PauliSum:
-    """Diagonal charge operator: harmonic resolution K or baryon number Q."""
-    if which not in ("K", "Q"):
-        raise ValueError(f"unknown charge {which!r}")
-    jobs = []
-    if which == "K":
-        for n in range(1, config.n_boson_modes + 1):
-            jobs.append((("a", n, True), ("a", n, False), float(n)))
-    for species, count, sign in (
-        ("fermion", config.n_fermion_modes, 1.0),
-        ("antifermion", config.n_antifermion_modes, -1.0),
-    ):
-        for n in range(1, count + 1):
-            weight = float(n) if which == "K" else sign
-            jobs.append((_f(species, n, True), _f(species, n, False), weight))
-    return _assemble([jobs], _Ladders(layout, True))

@@ -1,13 +1,15 @@
 """Pauli-string algebra and the ladder-operator mappings onto the register.
 
-Strings are stored internally as ``(x, z)`` bit-mask pairs (qubit ``q`` maps to
-bit ``n-1-q`` so masks align with basis-index bits): ``I=(0,0)``, ``X=(1,0)``,
-``Y=(1,1)``, ``Z=(0,1)``.  Products, adjoints and sector matrices then
-reduce to XOR, popcount and sign bookkeeping.
+A string is an ``(x, z)`` bit-mask pair (qubit ``q`` maps to bit ``n-1-q`` so
+masks align with basis-index bits): ``I=(0,0)``, ``X=(1,0)``, ``Y=(1,1)``,
+``Z=(0,1)``.  A sum is a table of its strings, int64 mask arrays beside its
+complex coefficients, so products, sums, scaling, adjoints and sector
+matrices are array passes of XOR, popcount and sign bookkeeping.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,13 +23,13 @@ from .fock import QubitLayout
 __all__ = [
     "DEFAULT_TOL",
     "COMPARE_TOL",
+    "I_POWERS",
     "PauliString",
     "PauliSum",
     "canonicalize",
     "product",
     "products",
     "sum_of_products",
-    "commutator",
     "adjoint",
     "subspace_matrix",
     "fermion_ladder",
@@ -43,8 +45,8 @@ __all__ = [
 DEFAULT_TOL = 1e-12  # coefficients at or below this are dropped
 COMPARE_TOL = 1e-10  # coefficient agreement in equality and Hermiticity checks
 
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k
-_PHASE_ARRAY = np.array(_PHASES)
+I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k, the phase of a string with k Y letters
+_PHASE_ARRAY = np.array(I_POWERS)
 _LETTER_BYTES = np.frombuffer(b"IXZY", dtype=np.uint8)  # indexed by x bit | z bit << 1
 
 
@@ -77,31 +79,48 @@ class PauliString:
         return len(self.letters)
 
 
-class _TermTable:
-    """A sum's terms as arrays, in the insertion order of its store.
+class PauliSum:
+    """Canonical sum of Pauli strings on a fixed register, held as its term table.
 
-    ``x`` and ``z`` are the int64 flip and phase masks (so at most 63 qubits,
-    like every register) and ``coeffs`` the coefficients.  Products and sums
-    read and write these arrays.  The canonical views read them too:
-    ``letters`` and ``order`` serve ``PauliSum.terms`` and ``dumps``,
-    ``groups`` serves ``PauliSum.flip_groups``.
+    ``x`` and ``z`` are the int64 flip and phase masks of the strings (so at
+    most 63 qubits, like every register) and ``coeffs`` their complex
+    coefficients, one entry per distinct string.  Canonical form: like strings
+    merged, coefficients below the drop tolerance removed, iteration in
+    lexicographic letter order (I < X < Y < Z), a view of the arrays.  A
+    ``{(x, z): coefficient}`` dict is accepted as input and converted to
+    arrays once, at construction.
     """
 
-    def __init__(self, n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
-        self.n_qubits = n_qubits
-        self.x = x
-        self.z = z
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_store(cls, n_qubits: int, terms: dict[tuple[int, int], complex]) -> "_TermTable":
+    def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex] | None = None):
+        terms = terms or {}
         count = len(terms)
         masks = np.fromiter(itertools.chain.from_iterable(terms), np.int64, 2 * count)
-        return cls(n_qubits, masks[0::2], masks[1::2], np.fromiter(terms.values(), complex, count))
+        self.n_qubits = int(n_qubits)
+        self.x, self.z = masks[0::2], masks[1::2]
+        self.coeffs = np.fromiter(terms.values(), complex, count)
 
-    def store(self) -> dict[tuple[int, int], complex]:
-        """The ``{(x, z): coefficient}`` store of these terms, in table order."""
-        return dict(zip(zip(self.x.tolist(), self.z.tolist()), self.coeffs.tolist()))
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _of(cls, n_qubits: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
+        """The sum of distinct terms given as arrays."""
+        out = cls.__new__(cls)
+        out.n_qubits, out.x, out.z, out.coeffs = n_qubits, x, z, coeffs
+        return out
+
+    @classmethod
+    def zero(cls, n_qubits: int) -> "PauliSum":
+        return cls(n_qubits)
+
+    @classmethod
+    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
+        return cls(n_qubits, {(0, 0): complex(coeff)})
+
+    @classmethod
+    def from_label(cls, letters: str, coeff: complex = 1.0) -> "PauliSum":
+        return cls(len(letters), {_letters_to_masks(letters): complex(coeff)})
+
+    # -- canonical views ------------------------------------------------------
 
     @cached_property
     def letters(self) -> np.ndarray:
@@ -122,119 +141,57 @@ class _TermTable:
         """Positions of the terms in canonical order."""
         return np.argsort(self.letters)
 
-    @cached_property
-    def groups(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
-        """See ``PauliSum.flip_groups``."""
-        x = self.x
-        # c * i**nY: numpy's complex product is CPython's formula, and with factors
-        # 0 and +-1 every part is exact, so zeros keep the signs CPython gives them
-        phased = self.coeffs * _PHASE_ARRAY[np.bitwise_count(x & self.z) & 3]
-        _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
-        home = first[inverse]  # a group is named by the position of its first term
-        order = np.argsort(home, kind="stable")
-        edges = np.flatnonzero(np.diff(home[order], prepend=-1, append=-1)).tolist()
-        zs, phased = self.z[order].tolist(), phased[order]
-        return tuple(
-            (int(x[order[lo]]), tuple(zs[lo:hi]), phased[lo:hi])
-            for lo, hi in zip(edges, edges[1:])
-        )
-
-
-class PauliSum:
-    """Canonical sum of Pauli strings on a fixed register.
-
-    Canonical form: like strings merged, coefficients below the drop tolerance
-    removed, iteration in lexicographic letter order (I < X < Y < Z).
-
-    A sum holds its terms as a ``{(x, z): coefficient}`` store, as ``table``
-    (the same terms as arrays, in store order), or both; each is built from
-    the other on first use.  Products and sums run on tables; scaling,
-    pruning, adjoints and comparisons on the store.  The canonical views
-    (``terms``, ``flip_groups``, ``is_hermitian`` and ``dumps``) read the
-    table.
-    """
-
-    __slots__ = ("n_qubits", "_store", "_table")
-
-    def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex] | None = None):
-        self.n_qubits = int(n_qubits)
-        self._store: dict[tuple[int, int], complex] | None = terms if terms is not None else {}
-        self._table: _TermTable | None = None
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
-    @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(0, 0): complex(coeff)})
-
-    @classmethod
-    def from_label(cls, letters: str, coeff: complex = 1.0) -> "PauliSum":
-        return cls(len(letters), {_letters_to_masks(letters): complex(coeff)})
-
-    @classmethod
-    def from_table(cls, table: _TermTable) -> "PauliSum":
-        """The sum of a table's terms (distinct keys, none to prune); the store waits for use."""
-        out = cls(table.n_qubits)
-        out._store = None
-        out._table = table
-        return out
-
-    # -- canonical views ------------------------------------------------------
-
-    @property
-    def _terms(self) -> dict[tuple[int, int], complex]:
-        if self._store is None:
-            self._store = self._table.store()
-        return self._store
-
-    @property
-    def table(self) -> _TermTable:
-        if self._table is None:
-            self._table = _TermTable.from_store(self.n_qubits, self._store)
-        return self._table
-
     @property
     def terms(self) -> tuple[PauliString, ...]:
-        order = self.table.order
-        coeffs = self.table.coeffs.tolist()
-        letters = self.table.letters[order].astype(str).tolist()
-        return tuple(PauliString(coeffs[i], s) for i, s in zip(order.tolist(), letters))
+        coeffs = self.coeffs.tolist()
+        letters = self.letters[self.order].astype(str).tolist()
+        return tuple(PauliString(coeffs[i], s) for i, s in zip(self.order.tolist(), letters))
 
-    @property
-    def flip_groups(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
-        """The terms grouped by flip mask: one ``(x, z masks, coefficients)`` per group.
+    @cached_property
+    def flip_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The terms sorted by flip mask: ``(flips, starts, z, coeffs)``.
 
-        Each coefficient carries its string's i**nY phase, so a group maps basis
-        index i to i ^ x with amplitude sum_j coeffs[j] * (-1)**popcount(i & z_j).
-        Groups come in the order of their flip masks' first terms, and terms keep
+        Group g holds the terms ``starts[g]:starts[g + 1]`` of the sorted ``z``
+        and ``coeffs``, all with flip mask ``flips[g]``; the last entry of
+        ``starts`` is the term count.  A group maps basis index i to i ^ x with
+        amplitude sum_j i**nY_j * coeffs[j] * (-1)**popcount(i & z_j).  Groups
+        come in the order of their flip masks' first terms, and terms keep
         their order within a group.
         """
-        return self.table.groups
+        _, first, inverse = np.unique(self.x, return_index=True, return_inverse=True)
+        home = first[inverse]  # a group is named by the position of its first term
+        order = np.argsort(home, kind="stable")
+        starts = np.append(np.flatnonzero(np.diff(home[order], prepend=-1)), order.size)
+        return self.x[order[starts[:-1]]], starts, self.z[order], self.coeffs[order]
 
     def __len__(self) -> int:
-        return len(self._store) if self._store is not None else self._table.x.size
+        return self.x.size
 
     def __iter__(self):
         return iter(self.terms)
 
     def coefficient(self, letters: str) -> complex:
-        return self._terms.get(_letters_to_masks(letters), 0.0 + 0.0j)
+        x, z = _letters_to_masks(letters)
+        at = np.flatnonzero((self.x == x) & (self.z == z))
+        return complex(self.coeffs[at[0]]) if at.size else 0.0 + 0.0j
 
     def prune(self, tol: float = DEFAULT_TOL) -> "PauliSum":
-        return PauliSum(self.n_qubits, {k: c for k, c in self._terms.items() if abs(c) > tol})
+        keep = np.hypot(self.coeffs.real, self.coeffs.imag) > tol
+        return PauliSum._of(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])
 
     def equals(self, other: "PauliSum", tol: float = COMPARE_TOL) -> bool:
+        """Each string's coefficients differ by at most tol in modulus, a missing one counting 0."""
         if self.n_qubits != other.n_qubits:
             return False
-        keys = set(self._terms) | set(other._terms)
-        return all(abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol for k in keys)
+        x, z = np.concatenate([self.x, other.x]), np.concatenate([self.z, other.z])
+        ids, first = _first_ids(x, z)
+        diff = np.zeros(first.size, complex)
+        diff[ids[: len(self)]] = self.coeffs
+        diff[ids[len(self) :]] -= other.coeffs  # each sum's strings are distinct
+        return bool(np.all(np.hypot(diff.real, diff.imag) <= tol))
 
     def is_hermitian(self, tol: float = COMPARE_TOL) -> bool:
-        return bool(np.all(np.abs(self.table.coeffs.imag) <= tol))
+        return bool(np.all(np.abs(self.coeffs.imag) <= tol))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -244,7 +201,7 @@ class PauliSum:
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_size(other)
-        return PauliSum.from_table(_plus(self.table, other.table))
+        return _plus(self, other)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
@@ -255,8 +212,9 @@ class PauliSum:
     def __mul__(self, scalar: complex) -> "PauliSum":
         if isinstance(scalar, PauliSum):
             return product(self, scalar)
-        scalar = complex(scalar)  # so a real factor w acts as complex(w, 0.0) on every interpreter
-        return PauliSum(self.n_qubits, {k: c * scalar for k, c in self._terms.items()}).prune()
+        w = complex(scalar)  # so a real factor w acts as complex(w, 0.0) on every interpreter
+        re, im = _complex_product(self.coeffs.real, self.coeffs.imag, w.real, w.imag)
+        return _joined(self.n_qubits, self.x, self.z, re, im).prune()
 
     __rmul__ = __mul__
 
@@ -264,7 +222,7 @@ class PauliSum:
         return product(self, other)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not len(self):
             return f"PauliSum(zero, n={self.n_qubits})"
         head = ", ".join(f"{t.coeff:.6g}*{t.letters}" for t in self.terms[:3])
         more = "" if len(self) <= 3 else f", ... {len(self)} terms"
@@ -283,7 +241,7 @@ def canonicalize(terms: Iterable[PauliString], tol: float = DEFAULT_TOL) -> Paul
             raise ValueError("mixed register sizes in term list")
         k = _letters_to_masks(t.letters)
         acc[k] = acc.get(k, complex(0.0, 0.0)) + complex(t.coeff)
-    return PauliSum(n, {k: c for k, c in acc.items() if abs(c) > tol})
+    return PauliSum(n, acc).prune(tol)
 
 
 # -- products as array passes ----------------------------------------------------
@@ -366,10 +324,10 @@ def _kept(first: np.ndarray, re: np.ndarray, im: np.ndarray):
     return first[keep], re[keep], im[keep]
 
 
-def _job_products(lefts: list[_TermTable], rights: list[_TermTable]):
+def _job_products(lefts: list[PauliSum], rights: list[PauliSum]):
     """The products lefts[j] . rights[j], term by term as the dict loop forms them.
 
-    Pairs run over the left terms, then the right terms, in table order; each
+    Pairs run over the left terms, then the right terms, in array order; each
     product keeps the keys above ``DEFAULT_TOL``.  Returns ``(job, x, z, re,
     im)``: the kept terms, job by job, each product's in first-occurrence order.
     """
@@ -399,7 +357,7 @@ def _job_products(lefts: list[_TermTable], rights: list[_TermTable]):
     return job[first], x3[first], z3[first], re, im
 
 
-def _plus(a: _TermTable, b: _TermTable) -> _TermTable:
+def _plus(a: PauliSum, b: PauliSum) -> PauliSum:
     """``a + b`` as the dict loop ``out[k] = out.get(k, 0j) + c`` over a copy of a, pruned.
 
     a's keys keep their places and b's new keys follow; a new key's value is
@@ -412,14 +370,14 @@ def _plus(a: _TermTable, b: _TermTable) -> _TermTable:
     re[a.x.size :] += 0.0
     im[a.x.size :] += 0.0
     first, re, im = _kept(first, re, im)
-    return _table(a.n_qubits, x[first], z[first], re, im)
+    return _joined(a.n_qubits, x[first], z[first], re, im)
 
 
-def _table(n_qubits: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray):
+def _joined(n_qubits: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray):
     coeffs = np.empty(re.size, complex)
     coeffs.real = re  # not re + 1j*im, which turns an imaginary -0.0 into +0.0
     coeffs.imag = im
-    return _TermTable(n_qubits, x, z, coeffs)
+    return PauliSum._of(n_qubits, x, z, coeffs)
 
 
 def sum_of_products(n_qubits: int, slices) -> PauliSum:
@@ -436,7 +394,7 @@ def sum_of_products(n_qubits: int, slices) -> PauliSum:
         for op in itertools.chain(lefts, rights):
             if op.n_qubits != n_qubits:
                 raise ValueError(f"register size mismatch: {op.n_qubits} vs {n_qubits}")
-        job, x, z, re, im = _job_products([a.table for a in lefts], [b.table for b in rights])
+        job, x, z, re, im = _job_products(lefts, rights)
         w = np.array(weights, float)[job]
         chunks.append((x, z, *_complex_product(re, im, w, 0.0)))
     if not chunks:
@@ -444,17 +402,17 @@ def sum_of_products(n_qubits: int, slices) -> PauliSum:
     x, z, re, im = (np.concatenate(c) for c in zip(*chunks))
     del chunks
     first, re, im = _kept(*_sums(x, z, re, im))
-    return PauliSum.from_table(_table(n_qubits, x[first], z[first], re, im))
+    return _joined(n_qubits, x[first], z[first], re, im)
 
 
 def products(lefts: list[PauliSum], rights: list[PauliSum]) -> list[PauliSum]:
     """The products lefts[j] . rights[j], formed in one batch."""
     for a, b in zip(lefts, rights, strict=True):
         a._check_size(b)
-    job, x, z, re, im = _job_products([a.table for a in lefts], [b.table for b in rights])
+    job, x, z, re, im = _job_products(lefts, rights)
     bounds = np.searchsorted(job, np.arange(len(lefts) + 1)).tolist()
     return [
-        PauliSum.from_table(_table(a.n_qubits, x[i:j], z[i:j], re[i:j], im[i:j]))
+        _joined(a.n_qubits, x[i:j], z[i:j], re[i:j], im[i:j])
         for a, i, j in zip(lefts, bounds, bounds[1:])
     ]
 
@@ -464,30 +422,15 @@ def product(a: PauliSum, b: PauliSum) -> PauliSum:
     return products([a], [b])[0]
 
 
-def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    return product(a, b) - product(b, a)
-
-
 def adjoint(a: PauliSum) -> PauliSum:
     """Hermitian conjugate: Pauli letters are self-adjoint, so conjugate coefficients."""
-    return PauliSum(a.n_qubits, {k: c.conjugate() for k, c in a._terms.items()})
+    return PauliSum._of(a.n_qubits, a.x, a.z, a.coeffs.conj())
 
 
 # -- sector matrices -----------------------------------------------------------
 
 
 _SLICE_ENTRIES = 1 << 16  # (groups or terms) x columns per vectorised pass: 1 MB of complex values
-
-
-def _group_slices(sizes: np.ndarray, per_slice: int):
-    """``(lo, hi)`` runs of whole groups of about per_slice items, at least one group each."""
-    ends = np.cumsum(sizes)
-    lo = 0
-    while lo < sizes.size:
-        start = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + per_slice, side="right")))
-        yield lo, hi
-        lo = hi
 
 
 def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> np.ndarray:
@@ -497,50 +440,63 @@ def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> 
     in one step.  The call raises if an out-of-span element (it belongs to one
     group) exceeds tol, which validates the sector restriction of a conserving
     Hamiltonian; ``tol=np.inf`` returns the restricted entries of an operator
-    that leaves the span.  Groups are taken a slice at a time, so no
-    temporary exceeds about ``_SLICE_ENTRIES`` entries beyond one group's
-    parities; the groups that map no spanned index into the span are checked
-    together, a slice of their terms at a time.
+    that leaves the span.  One loop walks the group-sorted terms: it looks up
+    per_slice = ``_SLICE_ENTRIES`` / dim groups at a time, the groups among
+    them that map a spanned index into the span fill their elements, and the
+    others are checked together in runs of whole groups of about per_slice
+    terms.  So no temporary exceeds about ``_SLICE_ENTRIES`` entries beyond
+    one group's parities.
     """
     arr = np.fromiter(indices, dtype=np.int64)
     dim = arr.size
     order = np.argsort(arr, kind="stable")
     sorted_arr = arr[order]
-    groups = op.flip_groups
-    flips = np.fromiter((x for x, _, _ in groups), np.int64, len(groups))
+    flips, starts, zs, coeffs = op.flip_groups
+    sizes = np.diff(starts)
+    # c * i**nY: numpy's complex product is CPython's formula, and with factors
+    # 0 and +-1 every part is exact, so zeros keep the signs CPython gives them
+    coeffs = coeffs * _PHASE_ARRAY[np.bitwise_count(np.repeat(flips, sizes) & zs) & 3]
     per_slice = max(1, _SLICE_ENTRIES // max(dim, 1))
     mat = np.zeros((dim, dim), dtype=complex)
     worst = 0.0
-    outside = []  # groups mapping no spanned index into the span
-    for lo in range(0, flips.size, per_slice):
-        targets = flips[lo : lo + per_slice, None] ^ arr
-        pos = np.minimum(np.searchsorted(sorted_arr, targets), dim - 1)
-        hit = sorted_arr[pos] == targets
-        some = hit.any(axis=1)
-        outside += (np.flatnonzero(~some) + lo).tolist()
-        inside = (np.flatnonzero(some) + lo).tolist()
-        vals = np.empty((len(inside), dim), complex)
-        for k, g in enumerate(inside):
-            _, zs, coeffs = groups[g]
-            par = np.bitwise_count(arr[:, None] & np.array(zs, dtype=np.int64)) & 1
-            vals[k] = (1.0 - 2.0 * par) @ coeffs
-        pos, hit = pos[some], hit[some]
-        # an element (row, column) belongs to the one group with flip arr[row] ^ arr[column]
-        mat[order[pos[hit]], np.nonzero(hit)[1]] = vals[hit]
-        worst = max(worst, float(np.abs(vals[~hit]).max(initial=0.0)))
-    outside = [groups[g] for g in outside]
-    if outside and dim:
-        sizes = np.array([len(zs) for _, zs, _ in outside])
-        zs = itertools.chain.from_iterable(zs for _, zs, _ in outside)
-        zs = np.fromiter(zs, np.int64, sizes.sum())
-        coeffs = np.concatenate([c for _, _, c in outside])
-        starts = np.cumsum(sizes) - sizes
-        for lo, hi in _group_slices(sizes, per_slice):
-            t0, t1 = starts[lo], starts[hi - 1] + sizes[hi - 1]
-            odd = (np.bitwise_count(arr[:, None] & zs[t0:t1]) & 1).astype(bool)  # (columns, terms)
-            signed = np.where(odd, -coeffs[t0:t1], coeffs[t0:t1])
-            vals = np.add.reduceat(signed, starts[lo:hi] - t0, axis=1)
-            worst = max(worst, float(np.abs(vals).max()))
+    bounds = starts.tolist()
+    lo = seen = 0  # groups first .. seen - 1 are looked up
+    while lo < flips.size:
+        if lo == seen:  # look up the next per_slice groups; those that hit fill their elements
+            first, seen = lo, lo + per_slice
+            targets = flips[first:seen, None] ^ arr
+            pos = np.minimum(np.searchsorted(sorted_arr, targets), dim - 1)
+            hit = sorted_arr[pos] == targets
+            some = hit.any(axis=1)
+            pos, hit = pos[some], hit[some]
+            inside = (np.flatnonzero(some) + first).tolist()
+            vals = np.empty((len(inside), dim), complex)
+            for k, g in enumerate(inside):
+                par = np.bitwise_count(arr[:, None] & zs[bounds[g] : bounds[g + 1]]) & 1
+                vals[k] = (1.0 - 2.0 * par) @ coeffs[bounds[g] : bounds[g + 1]]
+            # an element (row, column) belongs to the one group with flip arr[row] ^ arr[column]
+            mat[order[pos[hit]], np.nonzero(hit)[1]] = vals[hit]
+            worst = max(worst, float(np.abs(vals[~hit]).max(initial=0.0)))
+            # running count of the terms of the groups that map no spanned index into the span
+            ends = np.cumsum(np.where(some, 0, sizes[first:seen])).tolist()
+        # the next run of whole groups holding about per_slice such terms, checked together
+        i = lo - first
+        done = ends[i - 1] if i else 0
+        hi = first + max(i + 1, bisect.bisect_right(ends, done + per_slice))
+        missed = ends[hi - first - 1] - done
+        if missed:
+            terms = slice(bounds[lo], bounds[hi])
+            z, c, counts = zs[terms], coeffs[terms], sizes[lo:hi]
+            if missed < terms.stop - terms.start:  # keep only their terms
+                out = ~some[i : hi - first]
+                keep = np.repeat(out, counts)
+                z, c, counts = z[keep], c[keep], counts[out]
+            odd = np.bitwise_count(arr[:, None] & z)  # (columns, terms)
+            odd &= 1
+            signed = np.where(odd.view(bool), -c, c)
+            vals = np.add.reduceat(signed, np.cumsum(counts) - counts, axis=1)
+            worst = max(worst, float(np.abs(vals).max(initial=0.0)))
+        lo = hi
     if worst > tol:
         raise ValueError(f"operator leaves the subspace (matrix element {worst:.3e})")
     return mat
@@ -665,12 +621,11 @@ def dumps(op: PauliSum) -> str:
     Coefficient values repeat heavily, so each distinct float64 bit pattern is
     ``repr``-ed once.
     """
-    table = op.table
-    order = table.order
-    parts = np.concatenate([table.coeffs.real[order], table.coeffs.imag[order]])
+    order = op.order
+    parts = np.concatenate([op.coeffs.real[order], op.coeffs.imag[order]])
     patterns, which = np.unique(parts.view(np.uint64), return_inverse=True)
     text = [repr(v) for v in patterns.view(np.float64).tolist()]
-    letters = table.letters[order].astype(str).tolist()
+    letters = op.letters[order].astype(str).tolist()
     re, im = which[: order.size].tolist(), which[order.size :].tolist()
     return "\n".join([f"{text[a]} {text[b]} {s}" for a, b, s in zip(re, im, letters)])
 

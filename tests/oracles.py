@@ -21,10 +21,12 @@ Trotter evaluator.
 The charge reference decodes every register index into its occupancies and
 counts K and Q on them, with none of the package's bit-plane arithmetic.
 
-The Pauli-sum view references walk the sum's ``{(x, z): coefficient}`` store
-term by term in Python: they spell the letters one qubit at a time, sort them
-as Python strings and apply each i**nY with Python's complex product, where
-the package reads its term table with array operations.
+The Pauli-sum view references walk the sum's terms as a ``{(x, z): coefficient}``
+dict (``store_of``) in Python: they spell the letters one qubit at a time, sort
+them as Python strings and group the terms by flip mask in a dict, where the
+package reads its term arrays with array operations.  The store references
+scale, conjugate, prune, compare and look up coefficients one dict entry at a
+time; the package's array operations must equal them bit for bit.
 
 The assembly references form products, sums, boson ladders, Hamiltonian parts
 and charges one string pair and one term at a time into dicts, the loops whose
@@ -41,6 +43,8 @@ import numpy as np
 from lfyukawa.fock import FockState, ModeConfig, k_of, q_of
 from lfyukawa.hamiltonian import bracket, self_inertia
 from lfyukawa.pauli import (
+    COMPARE_TOL,
+    DEFAULT_TOL,
     PauliSum,
     adjoint,
     boson_occupancy_raisers,
@@ -375,9 +379,22 @@ def masks_to_letters(x: int, z: int, n: int) -> str:
     return "".join(out)
 
 
+def letters_to_masks(letters: str) -> tuple[int, int]:
+    x = z = 0
+    for ch in letters:
+        x = x << 1 | (ch in "XY")
+        z = z << 1 | (ch in "YZ")
+    return x, z
+
+
+def store_of(op) -> dict[tuple[int, int], complex]:
+    """The sum's terms as a ``{(x, z): coefficient}`` dict, in array order."""
+    return dict(zip(zip(op.x.tolist(), op.z.tolist()), op.coeffs.tolist()))
+
+
 def terms_reference(op) -> list[tuple[str, complex]]:
     """``(letters, coefficient)`` of every term, in canonical (letter) order."""
-    items = [(masks_to_letters(x, z, op.n_qubits), c) for (x, z), c in op._terms.items()]
+    items = [(masks_to_letters(x, z, op.n_qubits), c) for (x, z), c in store_of(op).items()]
     items.sort(key=lambda t: t[0])
     return items
 
@@ -390,13 +407,70 @@ _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def flip_groups_reference(op) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
-    """Terms by flip mask in the order the store first meets each mask, with i**nY applied."""
+    """``(x, z masks, coefficients)`` per flip mask, in the order the terms first meet each mask."""
     acc: dict[int, tuple[list[int], list[complex]]] = {}
-    for (x, z), c in op._terms.items():
+    for (x, z), c in store_of(op).items():
         zs, cs = acc.setdefault(x, ([], []))
         zs.append(z)
-        cs.append(c * _I_POWERS[(x & z).bit_count() & 3])
+        cs.append(c)
     return [(x, tuple(zs), np.array(cs, dtype=complex)) for x, (zs, cs) in acc.items()]
+
+
+def flip_group_tuples(op) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
+    """The package's flip groups in the reference's form, one tuple per group."""
+    flips, starts, zs, coeffs = op.flip_groups
+    bounds = starts.tolist()
+    return [
+        (x, tuple(zs[lo:hi].tolist()), coeffs[lo:hi])
+        for x, lo, hi in zip(flips.tolist(), bounds, bounds[1:])
+    ]
+
+
+# -- per-entry store operations ------------------------------------------------------
+#
+# The dict loops the package's array operations on a sum reproduce bit for bit.
+
+
+def _modulus(c: complex) -> float:
+    """abs(c), or inf where CPython raises OverflowError for a modulus beyond the float range."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
+def prune_reference(op, tol: float = DEFAULT_TOL):
+    return PauliSum(op.n_qubits, {k: c for k, c in store_of(op).items() if _modulus(c) > tol})
+
+
+def scale_reference(op, w: complex):
+    """w * op: every coefficient times ``complex(w)``, then the drop at DEFAULT_TOL."""
+    w = complex(w)
+    return prune_reference(PauliSum(op.n_qubits, {k: c * w for k, c in store_of(op).items()}))
+
+
+def adjoint_reference(op):
+    return PauliSum(op.n_qubits, {k: c.conjugate() for k, c in store_of(op).items()})
+
+
+def equals_reference(a, b, tol: float = COMPARE_TOL) -> bool:
+    if a.n_qubits != b.n_qubits:
+        return False
+    sa, sb = store_of(a), store_of(b)
+    return all(_modulus(sa.get(k, 0.0) - sb.get(k, 0.0)) <= tol for k in sa.keys() | sb.keys())
+
+
+def coefficient_reference(op, letters: str) -> complex:
+    return store_of(op).get(letters_to_masks(letters), 0.0 + 0.0j)
+
+
+def canonicalize_reference(terms, tol: float = DEFAULT_TOL):
+    """Like strings summed in order of first occurrence from ``complex(0.0, 0.0)``, then dropped."""
+    acc: dict[tuple[int, int], complex] = {}
+    for t in terms:
+        k = letters_to_masks(t.letters)
+        acc[k] = acc.get(k, complex(0.0, 0.0)) + complex(t.coeff)
+    return PauliSum(terms[0].n_qubits, {k: c for k, c in acc.items() if _modulus(c) > tol})
 
 
 def charge_reference(layout) -> tuple[np.ndarray, np.ndarray]:
@@ -425,8 +499,8 @@ def rabi_transition(v: float, delta: float, times: np.ndarray) -> np.ndarray:
 def product_reference(a, b):
     """The distributed product of two sums, one string pair at a time into a dict."""
     out: dict[tuple[int, int], complex] = {}
-    bt = [(x2, z2, (x2 & z2).bit_count(), c2) for (x2, z2), c2 in b._terms.items()]
-    for (x1, z1), c1 in a._terms.items():
+    bt = [(x2, z2, (x2 & z2).bit_count(), c2) for (x2, z2), c2 in store_of(b).items()]
+    for (x1, z1), c1 in store_of(a).items():
         y1 = (x1 & z1).bit_count()
         for x2, z2, y2, c2 in bt:
             x3 = x1 ^ x2
@@ -448,7 +522,7 @@ def accumulate_reference(acc: dict, op, scale: float):
     forms for ``c * scale``, and the one the package fixes on every interpreter.
     """
     w = complex(scale, 0.0)
-    for key, c in op._terms.items():
+    for key, c in store_of(op).items():
         val = acc.get(key)
         acc[key] = c * w if val is None else val + c * w
 
@@ -459,10 +533,15 @@ def add_reference(a, b):
     The start ``complex(0.0, 0.0)`` is explicit, so a new key's -0.0 parts turn
     into +0.0 as CPython up to 3.13 adds ``0.0 + c``.
     """
-    out = dict(a._terms)
-    for key, c in b._terms.items():
+    out = store_of(a)
+    for key, c in store_of(b).items():
         out[key] = out.get(key, complex(0.0, 0.0)) + c
     return PauliSum(a.n_qubits, out).prune()
+
+
+def commutator_reference(a, b):
+    """ab - ba, both products one string pair at a time."""
+    return add_reference(product_reference(a, b), scale_reference(product_reference(b, a), -1.0))
 
 
 _FACTORS = {"I+": proj0, "I-": proj1, "s+": sigma_plus, "s-": sigma_minus}

@@ -10,10 +10,10 @@ from lfyukawa.diagnostics import (
 )
 from lfyukawa.evolve import exact_evolve
 from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector, sector_indices
-from lfyukawa.hamiltonian import ModelParams, build_charge, build_h
+from lfyukawa.hamiltonian import ModelParams, build_h
 from lfyukawa.pauli import PauliString, canonicalize
 
-from oracles import expectation
+from oracles import build_charge_reference, expectation
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +87,8 @@ def test_leakage_counts_double_violations_in_both(system):
 def test_expectation_charges_and_energy(system):
     config, layout, h, state0 = system
     psi0 = layout.basis_vector(state0)
-    k_op = build_charge("K", config, layout)
-    q_op = build_charge("Q", config, layout)
+    k_op = build_charge_reference("K", config, layout)
+    q_op = build_charge_reference("Q", config, layout)
     assert expectation(k_op, psi0) == pytest.approx(2.0)
     trio = layout.basis_vector(FockState((0, 1, 0), (0, 1, 0), (0, 0, 0)))
     assert expectation(q_op, trio) == pytest.approx(0.0)

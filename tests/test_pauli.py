@@ -1,5 +1,6 @@
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from lfyukawa.pauli import (
     adjoint,
     boson_ladder,
     canonicalize,
-    commutator,
     dumps,
     fermion_ladder,
     loads,
@@ -28,16 +28,26 @@ from lfyukawa.pauli import (
 )
 
 from lfyukawa import pauli
-from lfyukawa.pauli import DEFAULT_TOL
+from lfyukawa.pauli import COMPARE_TOL, DEFAULT_TOL
 
 from oracles import (
     accumulate_reference,
     add_reference,
+    adjoint_reference,
     apply,
     boson_ladder_reference,
+    canonicalize_reference,
+    coefficient_reference,
+    commutator_reference,
     dumps_reference,
+    equals_reference,
+    flip_group_tuples,
     flip_groups_reference,
+    masks_to_letters,
     product_reference,
+    prune_reference,
+    scale_reference,
+    store_of,
     terms_reference,
     to_matrix,
 )
@@ -109,8 +119,8 @@ def test_single_qubit_products_match_pauli_algebra():
     xy = product(x, y)
     assert xy.coefficient("Z") == pytest.approx(1j)
     z = PauliSum.from_label("Z")
-    assert commutator(z, z).equals(PauliSum.zero(1))
-    assert commutator(x, y).coefficient("Z") == pytest.approx(2j)
+    assert commutator_reference(z, z).equals(PauliSum.zero(1))
+    assert commutator_reference(x, y).coefficient("Z") == pytest.approx(2j)
 
 
 def test_string_squares_to_identity():
@@ -221,10 +231,11 @@ def test_subspace_matrix_slices_change_nothing(monkeypatch):
     whole = subspace_matrix(op, indices, tol=np.inf)
     with pytest.raises(ValueError) as err:
         subspace_matrix(op, indices)
-    monkeypatch.setattr(pauli, "_SLICE_ENTRIES", 5)
-    assert np.array_equal(subspace_matrix(op, indices, tol=np.inf), whole)
-    with pytest.raises(ValueError, match=re.escape(str(err.value))):
-        subspace_matrix(op, indices)
+    for slice_entries in (5, 20, 36, 60):  # runs of 1, 2, 4 and 6 terms, lookups of as many groups
+        monkeypatch.setattr(pauli, "_SLICE_ENTRIES", slice_entries)
+        assert np.array_equal(subspace_matrix(op, indices, tol=np.inf), whole)
+        with pytest.raises(ValueError, match=re.escape(str(err.value))):
+            subspace_matrix(op, indices)
 
 
 # -- properties on random sums ------------------------------------------------------
@@ -259,18 +270,20 @@ def test_product_and_adjoint_algebra_on_random_sums(pair):
         )
     ),
     st.sampled_from([0.5, 1.5, 3.0]),
+    st.integers(1, 4),
 )
-def test_subspace_matrix_matches_apply_columns(case, tol):
+def test_subspace_matrix_matches_apply_columns(case, tol, per_slice):
     (op,), indices = case
     columns = np.stack([apply(op, np.eye(1 << op.n_qubits)[i]) for i in indices], axis=1)
     outside = np.delete(columns, indices, axis=0)
     worst = np.max(np.abs(outside), initial=0.0)
-    assert np.allclose(subspace_matrix(op, indices, tol=np.inf), columns[indices], atol=1e-12)
-    if worst > tol:
-        with pytest.raises(ValueError):
-            subspace_matrix(op, indices, tol=tol)
-    else:
-        assert np.allclose(subspace_matrix(op, indices, tol=tol), columns[indices], atol=1e-12)
+    with mock.patch.object(pauli, "_SLICE_ENTRIES", per_slice * len(indices)):
+        assert np.allclose(subspace_matrix(op, indices, tol=np.inf), columns[indices], atol=1e-12)
+        if worst > tol:
+            with pytest.raises(ValueError):
+                subspace_matrix(op, indices, tol=tol)
+        else:
+            assert np.allclose(subspace_matrix(op, indices, tol=tol), columns[indices], atol=1e-12)
 
 
 # -- Jordan-Wigner ladders ----------------------------------------------------------
@@ -308,13 +321,13 @@ def test_fermion_car_across_species_with_global_string(layout):
 def test_independent_strings_commute_across_species(layout):
     b1 = fermion_ladder("fermion", 1, False, layout, cross_species_string=False)
     dd2 = fermion_ladder("antifermion", 2, True, layout, cross_species_string=False)
-    assert len(commutator(b1, dd2).prune(1e-10)) == 0
+    assert len(commutator_reference(b1, dd2).prune(1e-10)) == 0
 
 
 def test_bosons_commute_with_fermions(layout):
     a1 = boson_ladder(1, False, layout)
     bd2 = fermion_ladder("fermion", 2, True, layout)
-    assert len(commutator(a1, bd2).prune(1e-10)) == 0
+    assert len(commutator_reference(a1, bd2).prune(1e-10)) == 0
 
 
 def test_ladder_builders_pin_their_letters_and_coefficient_bits(layout):
@@ -394,7 +407,7 @@ def test_truncated_boson_commutator(modals):
     a = boson_ladder(1, False, layout)
     assert a.equals(adjoint(ad), 1e-12)
     dim = modals + 1
-    comm = to_matrix(commutator(a, ad))[:dim, :dim]
+    comm = to_matrix(commutator_reference(a, ad))[:dim, :dim]
     ref = np.eye(dim)
     ref[modals, modals] = -modals
     assert np.max(np.abs(comm - ref)) < 1e-10
@@ -455,11 +468,51 @@ def test_table_views_equal_the_per_term_reference(op):
     assert [t.letters for t in op.terms] == [letters for letters, _ in want]
     assert _bits([t.coeff for t in op.terms]) == _bits([c for _, c in want])
     assert dumps(op) == dumps_reference(op)
-    groups, ref = op.flip_groups, flip_groups_reference(op)
+    groups, ref = flip_group_tuples(op), flip_groups_reference(op)
     assert [(x, zs) for x, zs, _ in groups] == [(x, zs) for x, zs, _ in ref]
     assert [c.tobytes() for _, _, c in groups] == [c.tobytes() for _, _, c in ref]
     for tol in (0.0, 0.5):
         assert op.is_hermitian(tol) == all(abs(c.imag) <= tol for _, c in want)
+
+
+# Real and complex factors: signed zeros, factors at and below the drop tolerance, any finite float.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_factors = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.5, DEFAULT_TOL, 1e-13]),
+    st.sampled_from([1j, complex(-0.0, 1.0), complex(0.5, -0.0), complex(DEFAULT_TOL, -1e-13)]),
+    _finite,
+    st.builds(complex, _finite, _finite),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stores(), _factors)
+def test_store_operations_equal_the_dict_reference_bit_for_bit(op, w):
+    """Scaling, adjoints, drops, comparisons, lookups and canonical merges on the arrays."""
+    _same_store(w * op, scale_reference(op, w))
+    _same_store(op * w, scale_reference(op, w))
+    _same_store(-op, scale_reference(op, -1.0))
+    _same_store(adjoint(op), adjoint_reference(op))
+    for tol in (0.0, 1e-13, DEFAULT_TOL, 0.5):
+        _same_store(op.prune(tol), prune_reference(op, tol))
+    store = store_of(op)
+    assert len(op) == len(store)
+    for x, z in list(store)[:3] + [(0, 0), (1, 0)]:
+        letters = masks_to_letters(x, z, op.n_qubits)
+        assert _bits([op.coefficient(letters)]) == _bits([coefficient_reference(op, letters)])
+    others = [op, w * op, op.prune(), PauliSum.zero(op.n_qubits), PauliSum.zero(op.n_qubits + 1)]
+    if store:
+        key = next(iter(store))
+        near = PauliSum(op.n_qubits, {**store, key: store[key] + 1e-13})
+        assert op.equals(near, 0.0) == (store_of(near)[key] == store[key])
+        others.append(near)
+    for other in others:
+        for tol in (0.0, 1e-13, DEFAULT_TOL, COMPARE_TOL):
+            assert op.equals(other, tol) == equals_reference(op, other, tol)
+            assert other.equals(op, tol) == equals_reference(other, op, tol)
+    terms = list(op.terms) + list(adjoint(op).terms)
+    for tol in (0.0, DEFAULT_TOL) if terms else ():
+        _same_store(canonicalize(terms, tol), canonicalize_reference(terms, tol))
 
 
 # -- products and sums against the term-by-term reference ---------------------------
@@ -491,8 +544,9 @@ def _operand_pairs(draw):
 
 
 def _same_store(got: PauliSum, want: PauliSum):
-    assert list(got._terms) == list(want._terms)
-    assert _bits(list(got._terms.values())) == _bits(list(want._terms.values()))
+    assert got.n_qubits == want.n_qubits
+    assert list(store_of(got)) == list(store_of(want))
+    assert _bits(list(store_of(got).values())) == _bits(list(store_of(want).values()))
 
 
 @settings(max_examples=300, deadline=None)
