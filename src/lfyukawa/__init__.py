@@ -16,6 +16,7 @@ from .fock import (
     enumerate_sector,
     k_of,
     q_of,
+    sector_dim,
     sector_indices,
 )
 from .pauli import (
@@ -71,6 +72,7 @@ __all__ = [
     "enumerate_sector",
     "k_of",
     "q_of",
+    "sector_dim",
     "sector_indices",
     "PauliString",
     "PauliSum",

@@ -414,7 +414,7 @@ def sample_counts(amp, shots: int, seed: int, indices, n_qubits: int) -> dict[st
     """Multinomial readout histogram over basis bitstrings, reproducible per seed.
 
     amp holds the amplitudes on the strictly increasing basis ``indices`` of an
-    ``n_qubits`` register (ValueError if an index is wider, out of order or not one per
+    ``n_qubits`` register (ValueError if an index is negative, wider, out of order or not one per
     amplitude).  numpy's multinomial draws one binomial per category in order and draws
     nothing for a zero-probability category, so a register vector read on its nonzero
     entries and their indices gives the draws of the whole register.  Unsorted indices
@@ -427,6 +427,8 @@ def sample_counts(amp, shots: int, seed: int, indices, n_qubits: int) -> dict[st
     indices = np.asarray(indices)
     if indices.shape != np.shape(amp) or np.any(np.diff(indices) <= 0):
         raise ValueError("indices must be strictly increasing, one per amplitude")
+    if indices.min(initial=0) < 0:
+        raise ValueError(f"basis index {int(indices.min())} is negative")
     if int(indices.max(initial=0)).bit_length() > n_qubits:
         raise ValueError(f"basis index {int(indices.max())} does not fit in {n_qubits} qubits")
     probs = np.abs(amp) ** 2

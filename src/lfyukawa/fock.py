@@ -21,6 +21,7 @@ __all__ = [
     "k_of",
     "q_of",
     "sector_indices",
+    "sector_dim",
     "enumerate_sector",
     "charges",
 ]
@@ -252,6 +253,29 @@ def sector_indices(config: ModeConfig, K: int, Q: int) -> np.ndarray:
     for b, bk, _ in _fills(config.boson_modals, widths, max((r for _, r in heads), default=-1)):
         bosons.setdefault(bk, []).append(b)
     return np.array([h | b for h, rest in heads for b in bosons.get(rest, ())], dtype=np.int64)
+
+
+def _fill_counts(caps: tuple[int, ...], k_max: int) -> np.ndarray:
+    """counts[k, n]: occupancies with K-sum k <= k_max and n quanta, mode m up to caps[m-1]."""
+    counts = np.zeros((k_max + 1, sum(caps) + 1), dtype=object)  # Python ints never overflow
+    counts[0, 0] = 1
+    for mode, cap in enumerate(caps, start=1):
+        prev = counts.copy()
+        for p in range(1, min(cap, k_max // mode) + 1):
+            counts[p * mode :, p:] += prev[: k_max + 1 - p * mode, : prev.shape[1] - p]
+    return counts
+
+
+def sector_dim(config: ModeConfig, K: int, Q: int) -> int:
+    """len(sector_indices(config, K, Q)), counted per species without building a state."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
+    nf, na = config.n_fermion_modes, config.n_antifermion_modes
+    n = np.arange(max(Q, 0), min(nf, na + Q) + 1)  # fermion counts n with n - Q antifermions
+    pairs = _fill_counts((1,) * nf, K)[:, n] @ _fill_counts((1,) * na, K)[:, n - Q].T
+    bosons = _fill_counts(config.boson_modals, K).sum(axis=1)
+    # fermion K kf and antifermion K ka leave K - kf - ka to the bosons
+    return int(sum(pairs[kf, : K - kf + 1] @ bosons[K - kf :: -1] for kf in range(K + 1)))
 
 
 def enumerate_sector(config: ModeConfig, K: int, Q: int) -> list[FockState]:

@@ -9,9 +9,9 @@ matrices are array passes of XOR, popcount and sign bookkeeping.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -436,67 +436,37 @@ _SLICE_ENTRIES = 1 << 16  # (groups or terms) x columns per vectorised pass: 1 M
 def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> np.ndarray:
     """Matrix of the sum restricted to the span of the given basis indices.
 
-    Each flip group that maps a spanned index into the span fills its elements
-    in one step.  The call raises if an out-of-span element (it belongs to one
-    group) exceeds tol, which validates the sector restriction of a conserving
-    Hamiltonian; ``tol=np.inf`` returns the restricted entries of an operator
-    that leaves the span.  One loop walks the group-sorted terms: it looks up
-    per_slice = ``_SLICE_ENTRIES`` / dim groups at a time, the groups among
-    them that map a spanned index into the span fill their elements, and the
-    others are checked together in runs of whole groups of about per_slice
-    terms.  So no temporary exceeds about ``_SLICE_ENTRIES`` entries beyond
-    one group's parities.
+    Every value of a flip group on a spanned index, in the span or out of it, is one
+    ``reduceat`` sum over the group's terms in table order, whatever the slicing.  An
+    out-of-span value above tol raises; ``tol=np.inf`` returns the restricted entries.
     """
     arr = np.fromiter(indices, dtype=np.int64)
     dim = arr.size
     order = np.argsort(arr, kind="stable")
     sorted_arr = arr[order]
     flips, starts, zs, coeffs = op.flip_groups
-    sizes = np.diff(starts)
     # c * i**nY: numpy's complex product is CPython's formula, and with factors
     # 0 and +-1 every part is exact, so zeros keep the signs CPython gives them
-    coeffs = coeffs * _PHASE_ARRAY[np.bitwise_count(np.repeat(flips, sizes) & zs) & 3]
+    coeffs = coeffs * _PHASE_ARRAY[np.bitwise_count(np.repeat(flips, np.diff(starts)) & zs) & 3]
+    signs = np.stack((coeffs, -coeffs), axis=1).ravel()  # term j at 2j, negated at 2j + 1
     per_slice = max(1, _SLICE_ENTRIES // max(dim, 1))
     mat = np.zeros((dim, dim), dtype=complex)
     worst = 0.0
     bounds = starts.tolist()
-    lo = seen = 0  # groups first .. seen - 1 are looked up
-    while lo < flips.size:
-        if lo == seen:  # look up the next per_slice groups; those that hit fill their elements
-            first, seen = lo, lo + per_slice
-            targets = flips[first:seen, None] ^ arr
-            pos = np.minimum(np.searchsorted(sorted_arr, targets), dim - 1)
-            hit = sorted_arr[pos] == targets
-            some = hit.any(axis=1)
-            pos, hit = pos[some], hit[some]
-            inside = (np.flatnonzero(some) + first).tolist()
-            vals = np.empty((len(inside), dim), complex)
-            for k, g in enumerate(inside):
-                par = np.bitwise_count(arr[:, None] & zs[bounds[g] : bounds[g + 1]]) & 1
-                vals[k] = (1.0 - 2.0 * par) @ coeffs[bounds[g] : bounds[g + 1]]
-            # an element (row, column) belongs to the one group with flip arr[row] ^ arr[column]
-            mat[order[pos[hit]], np.nonzero(hit)[1]] = vals[hit]
-            worst = max(worst, float(np.abs(vals[~hit]).max(initial=0.0)))
-            # running count of the terms of the groups that map no spanned index into the span
-            ends = np.cumsum(np.where(some, 0, sizes[first:seen])).tolist()
-        # the next run of whole groups holding about per_slice such terms, checked together
-        i = lo - first
-        done = ends[i - 1] if i else 0
-        hi = first + max(i + 1, bisect.bisect_right(ends, done + per_slice))
-        missed = ends[hi - first - 1] - done
-        if missed:
-            terms = slice(bounds[lo], bounds[hi])
-            z, c, counts = zs[terms], coeffs[terms], sizes[lo:hi]
-            if missed < terms.stop - terms.start:  # keep only their terms
-                out = ~some[i : hi - first]
-                keep = np.repeat(out, counts)
-                z, c, counts = z[keep], c[keep], counts[out]
-            odd = np.bitwise_count(arr[:, None] & z)  # (columns, terms)
-            odd &= 1
-            signed = np.where(odd.view(bool), -c, c)
-            vals = np.add.reduceat(signed, np.cumsum(counts) - counts, axis=1)
-            worst = max(worst, float(np.abs(vals).max(initial=0.0)))
-        lo = hi
+    for first in range(0, flips.size, per_slice):  # look up where per_slice groups map the span
+        targets = flips[first : first + per_slice, None] ^ arr
+        pos = np.minimum(np.searchsorted(sorted_arr, targets), dim - 1)
+        hit = sorted_arr[pos] == targets
+        vals = np.empty(hit.shape, complex)  # (groups, columns)
+        hi, stop = first, first + len(targets)
+        while hi < stop:  # runs of whole groups of about per_slice terms; a larger group alone
+            lo, hi = hi, max(hi + 1, bisect_right(bounds, bounds[hi] + per_slice, hi, stop + 1) - 1)
+            odd = np.bitwise_count(arr[:, None] & zs[bounds[lo] : bounds[hi]]) & 1  # (columns, terms)
+            signed = signs.take(odd + np.arange(2 * bounds[lo], 2 * bounds[hi], 2))
+            vals[lo - first : hi - first] = np.add.reduceat(signed, starts[lo:hi] - bounds[lo], 1).T
+        # an element (row, column) belongs to the one group with flip arr[row] ^ arr[column]
+        mat[order[pos[hit]], np.nonzero(hit)[1]] = vals[hit]
+        worst = max(worst, float(np.abs(vals[~hit]).max(initial=0.0)))
     if worst > tol:
         raise ValueError(f"operator leaves the subspace (matrix element {worst:.3e})")
     return mat

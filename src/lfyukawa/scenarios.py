@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import EvolutionRecord, leakage, records_to_csv, survival, transition_prob
 from .evolve import NORM_TOL, SECTOR_DIM_CAP, exact_evolve, make_plan, sample_counts, trotter_evolve
-from .fock import FockState, ModeConfig, QubitLayout, k_of, q_of, sector_indices
+from .fock import FockState, ModeConfig, QubitLayout, k_of, q_of, sector_dim, sector_indices
 from .fock import enumerate_sector  # noqa: F401  bench/spans.py wraps the name here
 from .hamiltonian import PARTS, ModelParams, build_h
 from .pauli import COMPARE_TOL, DEFAULT_TOL, dumps
@@ -269,8 +269,8 @@ _modes = _check(
     lambda v: _is_int(v) and 1 <= v <= MAX_MODES, f"must be an integer from 1 to {MAX_MODES}"
 )
 _parts = _check(
-    lambda v: isinstance(v, list) and all(p in PARTS for p in v),
-    f"must be a list of Hamiltonian parts out of {', '.join(PARTS)}",
+    lambda v: isinstance(v, list) and all(p in PARTS for p in v) and len(set(v)) == len(v),
+    f"must be a list of distinct Hamiltonian parts out of {', '.join(PARTS)}",
 )
 
 
@@ -411,7 +411,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise PhysicsError(str(err)) from None
         for label in cfg.initial_states or (cfg.initial_state,):
             state = _resolve_state(label, config)
-            dim = len(sector_indices(config, k_of(state), q_of(state))) if exactly else 0
+            dim = sector_dim(config, k_of(state), q_of(state)) if exactly else 0
             message = f"sector dimension {dim} of {label!r} exceeds cap {SECTOR_DIM_CAP}"
             _require(dim <= SECTOR_DIM_CAP, state_key, message, PhysicsError)
             dims.append(dim)

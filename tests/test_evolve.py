@@ -112,6 +112,16 @@ def test_exact_evolve_rejects_sector_leaving_hamiltonian(two_level):
         exact_evolve(h + flip, psi0[indices], 0.1, indices)
 
 
+def test_exact_evolve_rejects_non_hermitian_sector_matrix(two_level):
+    _, layout, h, _, psi0, _, indices = two_level
+    # i times the X string that swaps the two sector states stays in the sector but is
+    # anti-Hermitian there, so the leak check passes and the Hermiticity check fires
+    swap = PauliSum(layout.total_qubits, {(int(indices[0] ^ indices[1]), 0): 0.3j})
+    assert np.array_equal(subspace_matrix(swap, indices), [[0, 0.3j], [0.3j, 0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        exact_evolve(h + swap, psi0[indices], 0.1, indices)
+
+
 def test_exact_evolve_matches_closed_form_rabi(two_level):
     _, layout, h, _, psi0, _, indices = two_level
     block = subspace_matrix(h, indices)
@@ -561,6 +571,9 @@ def test_sample_counts_on_indices_needs_a_wide_enough_register():
         sample_counts(amp, 10, seed=1, indices=[5, 9], n_qubits=3)
     counts = sample_counts(amp, 10, seed=1, indices=[5, 9], n_qubits=5)
     assert set(counts) <= {"00101", "01001"} and sum(counts.values()) == 10
+    for negative in ([-3, -1], [-9, 2]):  # formatted, they would read '-11', '-01' and '-1001'
+        with pytest.raises(ValueError, match="negative"):
+            sample_counts(amp, 10, seed=1, indices=negative, n_qubits=3)
 
 
 def test_sample_counts_on_indices_needs_one_increasing_index_per_amplitude():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfyukawa.fock import (
     FockState,
@@ -9,6 +11,7 @@ from lfyukawa.fock import (
     enumerate_sector,
     k_of,
     q_of,
+    sector_dim,
     sector_indices,
 )
 
@@ -100,6 +103,9 @@ def test_sector_vacuum_only_at_origin():
     assert empty.dtype == np.int64 and empty.shape == (0,)
     with pytest.raises(ValueError, match="non-negative"):
         sector_indices(config, -1, 0)
+    assert sector_dim(config, 0, 0) == 1 and sector_dim(config, 0, 1) == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        sector_dim(config, -1, 0)
 
 
 SCAN_CONFIGS = [
@@ -136,6 +142,26 @@ def test_sector_enumeration_matches_full_scan(config):
             assert enumerate_sector(config, K, Q) == [layout.decode(i) for i in indices.tolist()]
             seen += len(indices)
     assert seen == 1 << layout.total_qubits  # sectors partition the space
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.lists(st.sampled_from([1, 3, 7]), min_size=1, max_size=4),
+    st.integers(0, 16),
+    st.integers(-5, 5),
+)
+def test_sector_dim_counts_sector_indices(nf, na, modals, K, Q):
+    config = ModeConfig(nf, na, len(modals), tuple(modals))
+    assert sector_dim(config, K, Q) == len(sector_indices(config, K, Q))
+
+
+def test_sector_dim_reference_counts():
+    # the last is 60 qubits, one fermion in mode 15 and three quanta in boson mode 15
+    counts = {(5, 9, 2): 42, (8, 9, 2): 50, (12, 12, 1): 425, (15, 60, 1): 120_352_915}
+    for (n, K, Q), dim in counts.items():
+        assert sector_dim(ModeConfig.uniform(n, 3), K, Q) == dim
 
 
 def test_sector_k9_q2_matches_scan_on_pp_register():

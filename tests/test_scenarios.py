@@ -75,6 +75,7 @@ def test_schema_errors_carry_field_paths():
         ('{"scenario": "coupling-sweep", "initial_states": 5}', "initial_states"),
         ('{"scenario": "coupling-sweep", "initial_states": [5]}', "initial_states"),
         ('{"scenario": "rabi", "parts": 5}', "parts"),
+        ('{"scenario": "rabi", "parts": ["HM", "HM"]}', "parts"),  # would build 2 * H_M
         ('{"scenario": "nmax-study", "n_values": [0]}', "n_values"),
         ('{"scenario": "trotter-study", "trotter_steps": [0]}', "trotter_steps"),
         ('{"scenario": "rabi", "trotter_steps": [2, 3]}', "trotter_steps"),
@@ -516,12 +517,15 @@ def test_time_grid_guard_exits_2_before_allocation(tmp_path, capsys, monkeypatch
 
 
 def test_sector_cap_exits_2_before_build_h(tmp_path, capsys, monkeypatch):
+    # parsing counts sectors and enumerates none, in exact and Trotter runs alike
     monkeypatch.setattr(scenarios, "build_h", _refuse)
+    monkeypatch.setattr(scenarios, "sector_indices", _refuse)
     doc = {"scenario": "rabi", "n_modes": 6, "initial_state": "000001 000001 00 00 00 00 00 10"}
     assert _run_cli(tmp_path, doc) == 2  # K = 24, Q = 0: 9,994 states
     assert "initial_state: sector dimension 9994" in capsys.readouterr().err
-    # Trotter-only runs enumerate no sector while parsing
-    monkeypatch.setattr(scenarios, "sector_indices", _refuse)
+    wide = " ".join(["0" * 14 + "1", "0" * 15] + ["00"] * 14 + ["11"])  # 60 qubits, (K, Q) = (60, 1)
+    assert _run_cli(tmp_path, {"scenario": "rabi", "n_modes": 15, "initial_state": wide}) == 2
+    assert "initial_state: sector dimension 120352915" in capsys.readouterr().err
     parse_config('{"scenario": "coupling-sweep"}')
 
 
