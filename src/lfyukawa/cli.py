@@ -14,10 +14,11 @@ import json
 import sys
 from dataclasses import asdict
 
-from .fock import QubitLayout, sector_indices
+from .evolve import SECTOR_DIM_CAP
+from .fock import QubitLayout, sector_dim, sector_indices
 from .hamiltonian import build_h
 from .pauli import dumps
-from .scenarios import PRESETS, ConfigError, SchemaError, parse_config, run_scenario
+from .scenarios import PRESETS, ConfigError, PhysicsError, SchemaError, parse_config, run_scenario
 
 __all__ = ["main"]
 
@@ -69,6 +70,9 @@ def _cmd_dump(args) -> int:
 def _cmd_sector(args) -> int:
     cfg = _load_register(args.config)
     layout = QubitLayout(cfg.mode_config)
+    dim = sector_dim(cfg.mode_config, args.K, args.Q)  # as in run, before enumerating it
+    if dim > SECTOR_DIM_CAP:
+        raise PhysicsError(f"sector K={args.K} Q={args.Q}: {dim} states exceed cap {SECTOR_DIM_CAP}")
     indices = sector_indices(cfg.mode_config, args.K, args.Q)
     print(f"sector K={args.K} Q={args.Q}: {len(indices)} states")
     for index in indices.tolist():

@@ -271,6 +271,9 @@ def sector_dim(config: ModeConfig, K: int, Q: int) -> int:
     if K < 0:
         raise ValueError("K must be non-negative")
     nf, na = config.n_fermion_modes, config.n_antifermion_modes
+    bosons_k = sum(m * cap for m, cap in enumerate(config.boson_modals, start=1))
+    if K > nf * (nf + 1) // 2 + na * (na + 1) // 2 + bosons_k:
+        return 0  # above the register's largest K, where the tables below grow as K**2
     n = np.arange(max(Q, 0), min(nf, na + Q) + 1)  # fermion counts n with n - Q antifermions
     pairs = _fill_counts((1,) * nf, K)[:, n] @ _fill_counts((1,) * na, K)[:, n - Q].T
     bosons = _fill_counts(config.boson_modals, K).sum(axis=1)

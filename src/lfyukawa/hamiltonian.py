@@ -32,7 +32,6 @@ __all__ = [
     "build_h",
 ]
 
-TWO_PI = 2.0 * math.pi
 PARTS = ("HM", "HV", "HS", "HF")
 
 
@@ -41,17 +40,16 @@ class ModelParams:
     """Physics configuration, masses in pion-mass units.
 
     ``coupling`` is the bare lambda; the vertex strength is g = lambda/sqrt(4*pi).
-    ``box_length`` defaults to 2*pi (in 1/m_pi) so the assembled operator is the
-    light-front time-evolution generator itself; other values rescale evolution
-    time by box_length/(2*pi).  ``inertia_cutoff`` bounds the self-induced
-    inertia sums and must not be below the largest mode number in play.
+    The box length is fixed at 2*pi (in 1/m_pi), so the operator generates light-front
+    time itself.  ``inertia_cutoff`` bounds the self-induced inertia sums and must not
+    be below the largest mode number in play.  Each field is a ``parse_config`` key with
+    this default, checked as a number, an integer or a boolean by the default's type.
     """
 
     fermion_mass: float = 6.7
     boson_mass: float = 1.0
     coupling: float = 1.0
     inertia_cutoff: int = 2048
-    box_length: float = TWO_PI
     include_inertias: bool = False
 
     @property
@@ -61,8 +59,6 @@ class ModelParams:
     def validate(self, config: ModeConfig | None = None):
         if self.fermion_mass <= 0 or self.boson_mass <= 0:
             raise ValueError("masses must be positive (massive-field regularization)")
-        if self.box_length <= 0:
-            raise ValueError("box_length must be positive")
         if config is not None:
             n_max = max(config.n_fermion_modes, config.n_antifermion_modes, config.n_boson_modes)
             if self.inertia_cutoff < n_max:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -220,12 +220,7 @@ _KNOWN_KEYS = {
     "n_antifermion_modes",
     "n_boson_modes",
     "modals",
-    "fermion_mass",
-    "boson_mass",
-    "coupling",
-    "inertia_cutoff",
-    "box_length",
-    "include_inertias",
+    *(f.name for f in fields(ModelParams)),
     "parts",
     "initial_state",
     "evolution",
@@ -263,7 +258,9 @@ def _check(test, message: str):
 _boolean = _check(lambda v: isinstance(v, bool), "must be a boolean")
 _string = _check(lambda v: isinstance(v, str), "must be a string")
 _integer = _check(_is_int, "must be an integer")
-_natural = _check(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+_shots = _check(  # the most that one rng.multinomial draw takes
+    lambda v: _is_int(v) and 0 <= v < 2**63, "must be an integer from 0 to 2**63 - 1"
+)
 _count = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _modes = _check(
     lambda v: _is_int(v) and 1 <= v <= MAX_MODES, f"must be an integer from 1 to {MAX_MODES}"
@@ -319,7 +316,7 @@ def parse_config(text: str) -> ScenarioConfig:
     def field(key, default, check):
         return check(merged.get(key, default), key)
 
-    n_modes = merged.get("n_modes", 3)
+    n_modes = field("n_modes", 3, _modes)
     nf, na, nb = (
         field(key, n_modes, _modes)
         for key in ("n_fermion_modes", "n_antifermion_modes", "n_boson_modes")
@@ -328,13 +325,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if modals & (modals + 1):
         raise PhysicsError(f"modals: cap {modals} is not of the form 2**t - 1")
     mode_config = ModeConfig(nf, na, nb, (modals,) * nb)
+    kinds = {float: _number, int: _integer, bool: _boolean}  # by the type of the default
     params = ModelParams(
-        fermion_mass=field("fermion_mass", 6.7, _number),
-        boson_mass=field("boson_mass", 1.0, _number),
-        coupling=field("coupling", 1.0, _number),
-        inertia_cutoff=field("inertia_cutoff", 2048, _integer),
-        box_length=field("box_length", 2.0 * math.pi, _number),
-        include_inertias=field("include_inertias", False, _boolean),
+        **{f.name: field(f.name, f.default, kinds[type(f.default)]) for f in fields(ModelParams)}
     )
 
     evo = merged.get("evolution", {})
@@ -380,7 +373,7 @@ def parse_config(text: str) -> ScenarioConfig:
         dt=dt,
         n_steps=n_steps,
         order=order,
-        shots=field("shots", 0, _natural),
+        shots=field("shots", 0, _shots),
         seed=field("seed", 1234, _integer),
         output_dir=field("output_dir", os.path.join("runs", scenario), _string),
         lambdas=_axis(merged, "lambdas", _number),

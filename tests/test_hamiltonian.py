@@ -234,6 +234,17 @@ def test_params_validation():
     assert ModelParams(coupling=13.315).g == pytest.approx(13.315 / math.sqrt(4 * math.pi))
 
 
+def test_every_model_field_moves_the_hamiltonian():
+    """A document key that leaves the operator unchanged would be a knob that does nothing."""
+    config = ModeConfig.uniform(2, 1)
+    layout = QubitLayout(config)
+    for f in fields(ModelParams):
+        base = ModelParams(include_inertias=f.name == "inertia_cutoff")
+        value = getattr(base, f.name)
+        moved = replace(base, **{f.name: not value if type(value) is bool else type(value)(value / 2)})
+        assert dumps(build_h(config, moved, layout)) != dumps(build_h(config, base, layout)), f.name
+
+
 @pytest.mark.parametrize(
     "run", ["demo-coupling-sweep/coupling-sweep", "demo-pp-collision/pp-collision"]
 )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfyukawa import evolve, scenarios
+from lfyukawa import cli, evolve, scenarios
 from lfyukawa.cli import main
 from lfyukawa.evolve import NORM_TOL, exact_evolve, sample_counts
 from lfyukawa.fock import ModeConfig, QubitLayout
@@ -43,7 +43,6 @@ def test_minimal_document_gets_full_defaults():
     assert cfg.params.fermion_mass == 6.7
     assert cfg.params.boson_mass == 1.0
     assert cfg.params.inertia_cutoff == 2048
-    assert cfg.params.box_length == pytest.approx(2 * math.pi)
     assert cfg.params.include_inertias is False
     assert cfg.mode == "exact"
     echo = cfg.echo()
@@ -64,6 +63,8 @@ def test_overrides_apply():
 def test_schema_errors_carry_field_paths():
     with pytest.raises(SchemaError, match="no-such-knob"):
         parse_config('{"scenario": "rabi", "no-such-knob": 1}')
+    with pytest.raises(SchemaError, match="^box_length: unknown field"):  # the box length is 2*pi
+        parse_config('{"scenario": "rabi", "box_length": 1.0}')
     with pytest.raises(SchemaError, match="evolution.order"):
         parse_config('{"scenario": "rabi", "evolution": {"order": 3}}')
     with pytest.raises(SchemaError, match="scenario"):
@@ -80,10 +81,16 @@ def test_schema_errors_carry_field_paths():
         ('{"scenario": "trotter-study", "trotter_steps": [0]}', "trotter_steps"),
         ('{"scenario": "rabi", "trotter_steps": [2, 3]}', "trotter_steps"),
         ('{"scenario": "rabi", "evolution": {"t_max": 1.0, "dt": 0.3}}', "evolution"),
+        ('{"scenario": "hardware-minimal", "shots": 100000000000000000000000}', "shots"),
+        ('{"scenario": "rabi", "n_modes": "zz"}', "n_modes"),
+        ('{"scenario": "rabi", "n_modes": "zz", "n_fermion_modes": 3, "n_antifermion_modes": 3,'
+         ' "n_boson_modes": 3}', "n_modes"),
     ]
     for text, path in malformed:
-        with pytest.raises(SchemaError, match=path):
+        with pytest.raises(SchemaError, match=f"^{path}"):
             parse_config(text)
+    most = parse_config('{"scenario": "hardware-minimal", "shots": 9223372036854775807}')
+    assert most.shots == 2**63 - 1
 
 
 def test_physics_errors_are_distinct():
@@ -93,8 +100,6 @@ def test_physics_errors_are_distinct():
         parse_config('{"scenario": "rabi", "inertia_cutoff": 2}')
     with pytest.raises(PhysicsError, match="modals"):
         parse_config('{"scenario": "rabi", "modals": 2}')
-    with pytest.raises(PhysicsError, match="box_length"):
-        parse_config('{"scenario": "rabi", "box_length": -1.0}')
 
 
 _json_values = st.recursive(
@@ -278,6 +283,18 @@ def test_cli_list_and_sector(tmp_path, capsys):
     assert main(["sector", str(cfg_path), "--K", "2", "--Q", "1"]) == 0
     out = capsys.readouterr().out
     assert "010 000 00 00 00" in out and "100 000 01 00 00" in out
+
+
+def test_cli_sector_counts_before_listing(tmp_path, capsys, monkeypatch):
+    # like run, sector refuses a sector above the cap before it enumerates one state
+    monkeypatch.setattr(cli, "sector_indices", _refuse)
+    cfg_path = tmp_path / "cfg.json"
+    for n_modes, K, Q, dim in ((6, 24, 0, 9994), (15, 60, 1, 120352915)):
+        cfg_path.write_text(json.dumps({"scenario": "rabi", "n_modes": n_modes}))
+        assert main(["sector", str(cfg_path), "--K", str(K), "--Q", str(Q)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{dim} states exceed cap {evolve.SECTOR_DIM_CAP}" in captured.err
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
