@@ -18,7 +18,15 @@ from .evolve import SECTOR_DIM_CAP
 from .fock import QubitLayout, sector_dim, sector_indices
 from .hamiltonian import build_h
 from .pauli import dumps
-from .scenarios import PRESETS, ConfigError, PhysicsError, SchemaError, parse_config, run_scenario
+from .scenarios import (
+    PRESETS,
+    ConfigError,
+    PhysicsError,
+    SchemaError,
+    _require_count_table,
+    parse_config,
+    run_scenario,
+)
 
 __all__ = ["main"]
 
@@ -70,6 +78,7 @@ def _cmd_dump(args) -> int:
 def _cmd_sector(args) -> int:
     cfg = _load_register(args.config)
     layout = QubitLayout(cfg.mode_config)
+    _require_count_table(cfg.mode_config, args.K, args.Q, "--K")
     dim = sector_dim(cfg.mode_config, args.K, args.Q)  # as in run, before enumerating it
     if dim > SECTOR_DIM_CAP:
         raise PhysicsError(f"sector K={args.K} Q={args.Q}: {dim} states exceed cap {SECTOR_DIM_CAP}")

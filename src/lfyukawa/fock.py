@@ -217,68 +217,76 @@ class QubitLayout:
         return psi
 
 
-def _fills(caps: tuple[int, ...], widths: tuple[int, ...], k_budget: int):
-    """(bits, K, quanta) of each occupancy with K-sum at most k_budget, in increasing bits.
+def _qubit_weights(layout: QubitLayout) -> list[tuple[int, int]]:
+    """(K, Q) weight of each qubit, in register order; a state's charges sum its set qubits'.
 
-    Mode n holds up to caps[n-1] quanta in a big-endian block of widths[n-1] bits, mode 1 first.
+    A fermion qubit of mode m weighs (m, 1), an antifermion qubit (m, -1) and qubit j
+    of mode m's w-qubit boson block (m * 2**(w-1-j), 0).
     """
-    out = [(0, 0, 0)]
-    for mode, (cap, width) in enumerate(zip(caps, widths), start=1):
-        out = [
-            ((bits << width) | p, k + p * mode, n + p)
-            for bits, k, n in out
-            for p in range(min(cap, (k_budget - k) // mode) + 1)
-        ]
-    return out
+    nf, na = layout.config.n_fermion_modes, layout.config.n_antifermion_modes
+    weights = [(m, 1) for m in range(1, nf + 1)] + [(m, -1) for m in range(1, na + 1)]
+    for mode, width in enumerate(layout.boson_widths, start=1):
+        weights += [(mode << (width - 1 - j), 0) for j in range(width)]
+    return weights
+
+
+def _table_shape(config: ModeConfig, K: int, Q: int) -> tuple[int, int, int] | None:
+    """Shape of sector (K, Q)'s completion table; None for a sector outside the register."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
+    nf, na = config.n_fermion_modes, config.n_antifermion_modes
+    if K > config.max_k or not -na <= Q <= nf:
+        return None
+    return QubitLayout(config).total_qubits + 1, K + 1, nf + na + 1
+
+
+def _completions(config: ModeConfig, K: int, Q: int):
+    """Qubit weights and counts[i, k, na + q], the fillings of qubits i.. with K-sum k, charge q.
+
+    None for a sector outside the register.
+    """
+    shape = _table_shape(config, K, Q)
+    if shape is None:
+        return None
+    weights = _qubit_weights(QubitLayout(config))
+    if len(weights) > 63:  # up to 63 qubits, every index and count fits int64
+        raise ValueError(f"a {len(weights)}-qubit register has indices beyond int64")
+    counts = np.zeros(shape, dtype=np.int64)
+    counts[-1, 0, config.n_antifermion_modes] = 1
+    for i, (wk, wq) in reversed(list(enumerate(weights))):
+        counts[i] = counts[i + 1]
+        if wk <= K:  # a set qubit adds (wk, wq) to the fillings of the qubits after it
+            lo, hi = max(wq, 0), shape[2] + min(wq, 0)
+            counts[i, wk:, lo:hi] += counts[i + 1, : K + 1 - wk, lo - wq : hi - wq]
+    return weights, counts
 
 
 def sector_indices(config: ModeConfig, K: int, Q: int) -> np.ndarray:
     """Encoded indices of all states with k_of = K and q_of = Q, as a sorted int64 array.
 
-    Built from per-species occupancies under a K budget (no full-space scan).
-    Fermion bits lead the index, then antifermion bits, then boson blocks, so
-    the nested build comes out sorted.
+    Walks the qubits from the first, the index's top bit, setting each to 0 and then 1
+    and keeping a prefix only if some filling of the later qubits completes it to (K, Q).
+    So the indices come out sorted and the walk holds at most twice the sector.
     """
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    nf, na = config.n_fermion_modes, config.n_antifermion_modes
-    widths = QubitLayout(config).boson_widths
-    heads = [
-        (((f << na) | a) << sum(widths), K - fk - ak)
-        for f, fk, fn in _fills((1,) * nf, (1,) * nf, K)
-        for a, ak, an in _fills((1,) * na, (1,) * na, K - fk)
-        if fn - an == Q
-    ]
-    bosons: dict[int, list[int]] = {}
-    for b, bk, _ in _fills(config.boson_modals, widths, max((r for _, r in heads), default=-1)):
-        bosons.setdefault(bk, []).append(b)
-    return np.array([h | b for h, rest in heads for b in bosons.get(rest, ())], dtype=np.int64)
-
-
-def _fill_counts(caps: tuple[int, ...], k_max: int) -> np.ndarray:
-    """counts[k, n]: occupancies with K-sum k <= k_max and n quanta, mode m up to caps[m-1]."""
-    counts = np.zeros((k_max + 1, sum(caps) + 1), dtype=object)  # Python ints never overflow
-    counts[0, 0] = 1
-    for mode, cap in enumerate(caps, start=1):
-        prev = counts.copy()
-        for p in range(1, min(cap, k_max // mode) + 1):
-            counts[p * mode :, p:] += prev[: k_max + 1 - p * mode, : prev.shape[1] - p]
-    return counts
+    table = _completions(config, K, Q)
+    if table is None:
+        return np.zeros(0, dtype=np.int64)
+    weights, counts = table
+    prefixes = np.array([[0, K, config.n_antifermion_modes + Q]])  # index, K and na + Q left
+    for i, (wk, wq) in enumerate(weights, start=1):
+        zero = prefixes * [2, 1, 1]
+        prefixes = np.stack([zero, zero + [1, -wk, -wq]], axis=1).reshape(-1, 3)  # bit 0 first
+        _, k, q = prefixes.T
+        keep = (k >= 0) & (q >= 0) & (q < counts.shape[2])
+        keep[keep] = counts[i, k[keep], q[keep]] > 0
+        prefixes = prefixes[keep]
+    return prefixes[:, 0].copy()
 
 
 def sector_dim(config: ModeConfig, K: int, Q: int) -> int:
-    """len(sector_indices(config, K, Q)), counted per species without building a state."""
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    nf, na = config.n_fermion_modes, config.n_antifermion_modes
-    bosons_k = sum(m * cap for m, cap in enumerate(config.boson_modals, start=1))
-    if K > nf * (nf + 1) // 2 + na * (na + 1) // 2 + bosons_k:
-        return 0  # above the register's largest K, where the tables below grow as K**2
-    n = np.arange(max(Q, 0), min(nf, na + Q) + 1)  # fermion counts n with n - Q antifermions
-    pairs = _fill_counts((1,) * nf, K)[:, n] @ _fill_counts((1,) * na, K)[:, n - Q].T
-    bosons = _fill_counts(config.boson_modals, K).sum(axis=1)
-    # fermion K kf and antifermion K ka leave K - kf - ka to the bosons
-    return int(sum(pairs[kf, : K - kf + 1] @ bosons[K - kf :: -1] for kf in range(K + 1)))
+    """len(sector_indices(config, K, Q)), read from the completion table without a state."""
+    table = _completions(config, K, Q)
+    return 0 if table is None else int(table[1][0, K, config.n_antifermion_modes + Q])
 
 
 def enumerate_sector(config: ModeConfig, K: int, Q: int) -> list[FockState]:
@@ -289,21 +297,16 @@ def enumerate_sector(config: ModeConfig, K: int, Q: int) -> list[FockState]:
 def charges(layout: QubitLayout, indices) -> tuple[np.ndarray, np.ndarray]:
     """K and Q of each basis index, as int64 arrays of the indices' shape.
 
-    Both are linear in the register bits: a fermion or antifermion qubit of mode m weighs
-    m in K, and qubit j of mode m's w-qubit boson block weighs m * 2**(w-1-j).  So K is
-    one masked popcount per bit-plane of those weights, and Q counts the fermion bits
-    minus the antifermion bits.
+    Both sum the qubit weights of the set bits, so K is one masked popcount per
+    bit-plane of the K weights, and Q counts the fermion bits minus the antifermion bits.
     """
-    nf, na = layout.config.n_fermion_modes, layout.config.n_antifermion_modes
-    weights = [*range(1, nf + 1), *range(1, na + 1)]  # K weight of each qubit, in order
-    for mode, width in enumerate(layout.boson_widths, start=1):
-        weights += [mode << (width - 1 - j) for j in range(width)]
-    mask = lambda qubits: sum(layout._bit(q) for q in qubits)
+    k_weights, q_weights = zip(*_qubit_weights(layout))
+    mask = lambda qubits: sum(layout._bit(i) for i in qubits)
     idx = np.asarray(indices, dtype=np.int64)
     popcount = lambda m: np.bitwise_count(idx & m).astype(np.int64)
     k = sum(
-        popcount(mask(q for q, w in enumerate(weights) if w >> b & 1)) << b
-        for b in range(max(weights).bit_length())
+        popcount(mask(i for i, w in enumerate(k_weights) if w >> b & 1)) << b
+        for b in range(max(k_weights).bit_length())
     )
-    q = popcount(mask(range(nf))) - popcount(mask(range(nf, nf + na)))
-    return k, q
+    charged = lambda sign: popcount(mask(i for i, w in enumerate(q_weights) if w == sign))
+    return k, charged(1) - charged(-1)

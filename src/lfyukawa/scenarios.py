@@ -26,7 +26,16 @@ import numpy as np
 from . import __version__
 from .diagnostics import EvolutionRecord, leakage, records_to_csv, survival, transition_prob
 from .evolve import NORM_TOL, SECTOR_DIM_CAP, exact_evolve, make_plan, sample_counts, trotter_evolve
-from .fock import FockState, ModeConfig, QubitLayout, k_of, q_of, sector_dim, sector_indices
+from .fock import (
+    FockState,
+    ModeConfig,
+    QubitLayout,
+    _table_shape,
+    k_of,
+    q_of,
+    sector_dim,
+    sector_indices,
+)
 from .fock import enumerate_sector  # noqa: F401  bench/spans.py wraps the name here
 from .hamiltonian import PARTS, ModelParams, build_h
 from .pauli import COMPARE_TOL, DEFAULT_TOL, dumps
@@ -143,6 +152,11 @@ _TROTTER_BYTES_PER_AMP = 7 * 16
 _BYTES_PER_RECORD = 1 << 10
 _BYTES_PER_MAP_ENTRY = 2 << 10
 _BYTES_PER_EXACT_AMP = 48
+
+# Bytes per Pauli string of a boson ladder: its term-table row of int64 x and z masks and
+# a complex128 coefficient, so a lower bound on building it.  A t-qubit block's ladder
+# holds t * 2**t strings (2, 8, 24, 64, 160, 384, 896, 2048 counted for t = 1..8).
+_BYTES_PER_LADDER_STRING = 32
 
 # Sweep axes in column order: (configuration key, CSV column).
 _AXES = (
@@ -324,6 +338,12 @@ def parse_config(text: str) -> ScenarioConfig:
     modals = field("modals", 3, _count)
     if modals & (modals + 1):
         raise PhysicsError(f"modals: cap {modals} is not of the form 2**t - 1")
+    width = modals.bit_length()
+    ladder = width * _BYTES_PER_LADDER_STRING << width
+    memory = _physical_memory()
+    _require(not memory or ladder <= memory, "modals",
+             f"the ladder of a {width}-qubit boson block needs about {ladder / 1e9:.3g} GB, more "
+             f"than the {memory / 1e9:.3g} GB of physical memory", PhysicsError)
     mode_config = ModeConfig(nf, na, nb, (modals,) * nb)
     kinds = {float: _number, int: _integer, bool: _boolean}  # by the type of the default
     params = ModelParams(
@@ -388,7 +408,6 @@ def parse_config(text: str) -> ScenarioConfig:
     register_key = "n_modes" if cfg.n_values is None else "n_values"
     state_key = "initial_state" if cfg.initial_states is None else "initial_states"
     exactly = mode == "exact" or "transition_exact" in PRESETS[scenario].get("extra_columns", ())
-    memory = _physical_memory()
     dims = []  # sector dimension per register and start, 0 where not evolved exactly
     for _, config in cfg.registers():
         qubits = QubitLayout(config).total_qubits
@@ -404,7 +423,9 @@ def parse_config(text: str) -> ScenarioConfig:
             raise PhysicsError(str(err)) from None
         for label in cfg.initial_states or (cfg.initial_state,):
             state = _resolve_state(label, config)
-            dim = sector_dim(config, k_of(state), q_of(state)) if exactly else 0
+            K, Q = k_of(state), q_of(state)
+            _require_count_table(config, K, Q, state_key)  # _Start lists every start's sector
+            dim = sector_dim(config, K, Q) if exactly else 0
             message = f"sector dimension {dim} of {label!r} exceeds cap {SECTOR_DIM_CAP}"
             _require(dim <= SECTOR_DIM_CAP, state_key, message, PhysicsError)
             dims.append(dim)
@@ -421,6 +442,16 @@ def parse_config(text: str) -> ScenarioConfig:
              f"{need / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB of physical memory",
              PhysicsError)
     return cfg
+
+
+def _require_count_table(config: ModeConfig, K: int, Q: int, path: str) -> None:
+    """PhysicsError at path if the int64 table that counts and lists sector (K, Q) exceeds memory."""
+    shape = _table_shape(config, K, Q)
+    need = 8 * math.prod(shape) if shape else 0
+    memory = _physical_memory()
+    _require(not memory or need <= memory, path,
+             f"sector K={K} Q={Q} needs a count table of about {need / 1e9:.3g} GB, more than "
+             f"the {memory / 1e9:.3g} GB of physical memory", PhysicsError)
 
 
 def _physical_memory() -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,8 +135,9 @@ def test_sector_enumeration_matches_full_scan(config):
     layout = QubitLayout(config)
     k_arr, q_arr = charges(layout, np.arange(1 << layout.total_qubits))
     seen = 0
-    for K in range(config.max_k + 1):
-        for Q in range(-config.n_antifermion_modes, config.n_fermion_modes + 1):
+    # past each end of the register's K and Q ranges the sectors are empty
+    for K in range(config.max_k + 3):
+        for Q in range(-config.n_antifermion_modes - 1, config.n_fermion_modes + 2):
             indices = sector_indices(config, K, Q)
             assert indices.dtype == np.int64
             assert indices.tolist() == np.flatnonzero((k_arr == K) & (q_arr == Q)).tolist()
@@ -155,6 +158,46 @@ def test_sector_enumeration_matches_full_scan(config):
 def test_sector_dim_counts_sector_indices(nf, na, modals, K, Q):
     config = ModeConfig(nf, na, len(modals), tuple(modals))
     assert sector_dim(config, K, Q) == len(sector_indices(config, K, Q))
+
+
+@st.composite
+def _wide_registers(draw):
+    """ModeConfigs of 40 to 63 qubits, each boson block from 1 qubit up to the rest."""
+    nf, na = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rest = draw(st.integers(40, 63)) - nf - na
+    widths = []
+    while rest:
+        widths.append(draw(st.integers(1, rest)))
+        rest -= widths[-1]
+    return ModeConfig(nf, na, len(widths), tuple((1 << w) - 1 for w in widths))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_registers(), st.integers(0, 10), st.integers(-4, 4))
+def test_sector_indices_carry_their_charges_on_wide_registers(config, K, Q):
+    # registers the full scan cannot reach
+    indices = sector_indices(config, K, Q)
+    k_arr, q_arr = charges(QubitLayout(config), indices)
+    assert (k_arr == K).all() and (q_arr == Q).all()
+    assert (np.diff(indices) > 0).all() and len(indices) == sector_dim(config, K, Q)
+
+
+def test_sector_costs_grow_with_the_sector_not_the_register():
+    # three states, two quanta short of the top K: the walk never holds more than twice them
+    config = ModeConfig.uniform(8, 3)
+    tracemalloc.start()
+    try:
+        indices = sector_indices(config, config.max_k - 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(indices) == 3 and peak < 4 << 20
+    k_arr, q_arr = charges(QubitLayout(config), indices)
+    assert (k_arr == config.max_k - 2).all() and (q_arr == 0).all()
+    # one 61-qubit boson block: the table grows with K, not with the modal cap
+    wide = ModeConfig(1, 1, 1, (2**61 - 1,))
+    assert sector_dim(wide, 1, 1) == 1 and sector_dim(wide, 3, 0) == 2
+    assert sector_indices(wide, 1, 1).tolist() == [1 << 62]  # the fermion in mode 1
 
 
 def test_sector_dim_reference_counts():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfyukawa import cli, evolve, scenarios
+from lfyukawa import cli, evolve, fock, scenarios
 from lfyukawa.cli import main
 from lfyukawa.evolve import NORM_TOL, exact_evolve, sample_counts
 from lfyukawa.fock import ModeConfig, QubitLayout
@@ -544,6 +544,29 @@ def test_sector_cap_exits_2_before_build_h(tmp_path, capsys, monkeypatch):
     assert _run_cli(tmp_path, {"scenario": "rabi", "n_modes": 15, "initial_state": wide}) == 2
     assert "initial_state: sector dimension 120352915" in capsys.readouterr().err
     parse_config('{"scenario": "coupling-sweep"}')
+
+
+def test_boson_ladder_and_count_table_guards_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenarios, "_physical_memory", lambda: 8 << 30)
+    for name in ("sector_dim", "sector_indices", "build_h"):
+        monkeypatch.setattr(scenarios, name, _refuse)
+    # a 61-qubit boson block whose ladder holds 61 * 2**61 strings
+    doc = {"scenario": "rabi", "n_modes": 1, "modals": 2**61 - 1, "initial_state": "1 0 " + "0" * 61}
+    assert _run_cli(tmp_path, doc) == 2
+    assert "config error: modals: the ladder of a 61-qubit boson block" in capsys.readouterr().err
+    # two 23-qubit blocks: the ladders fit, the count table of a start at the top K does not
+    wide = {"scenario": "rabi", "n_modes": 2, "modals": 2**23 - 1}
+    top = dict(wide, initial_state="00 00 " + "1" * 23 + " " + "1" * 23)  # K = 25165821
+    assert _run_cli(tmp_path, top) == 2
+    message = "sector K=25165821 Q=0 needs a count table of about 51.3 GB"
+    assert f"config error: initial_state: {message}" in capsys.readouterr().err
+    # sector parses the register, whose start f2 is counted, then refuses --K before counting it
+    monkeypatch.setattr(scenarios, "sector_dim", fock.sector_dim)
+    monkeypatch.setattr(cli, "sector_dim", _refuse)
+    cfg_path = tmp_path / "wide.json"
+    cfg_path.write_text(json.dumps(wide))
+    assert main(["sector", str(cfg_path), "--K", "25165821", "--Q", "0"]) == 2
+    assert f"config error: --K: {message}" in capsys.readouterr().err
 
 
 def test_exact_runs_build_no_register_vector(tmp_path, monkeypatch):
