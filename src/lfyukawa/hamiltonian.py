@@ -6,13 +6,14 @@ bracket evaluated explicitly, so only momentum-conserving index tuples emit
 terms and the assembled operator commutes with both light-front charges, the
 harmonic resolution K and the baryon number Q, by construction.
 
-Each part is a list of jobs ``w * (A . B)``: a weight and
-two named operands, each a ladder operator or the product of two, from a
-per-build cache that forms all the products a part needs in one batch.  The
-jobs go to ``pauli.sum_of_products`` in slices, one per outer mode index,
-which sums them in array passes with the arithmetic of adding each term into
-a dict one at a time (``tests/oracles.py`` keeps that loop as the reference).
-``build_h`` shares one cache across the parts it sums.
+Each part is a list of jobs ``w * (A . B)``: a weight and two named operands, each a
+ladder operator or the product of two, from a per-build cache that forms all the
+products a part needs in one batch.  Zero-weight jobs are dropped, and a "+ h.c."
+family lists each job's adjoint straight after it, named by one rule: a ladder's
+dagger flipped, a product's factors reversed.  The jobs go to ``pauli.sum_of_products``
+in slices, one per outer mode index, which sums them in array passes with the arithmetic
+of adding each term into a dict one at a time (``tests/oracles.py`` keeps that loop as
+the reference).  ``build_h`` shares one cache across the parts it sums.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ class ModelParams:
     def validate(self, config: ModeConfig | None = None):
         if self.fermion_mass <= 0 or self.boson_mass <= 0:
             raise ValueError("masses must be positive (massive-field regularization)")
+        g, mf, mb = self.g, self.fermion_mass, self.boson_mass
+        for key, factor in (("boson_mass", mb * mb), ("fermion_mass", mf * mf),
+                            ("coupling", g * g), ("coupling", g * mf)):
+            if not math.isfinite(factor):
+                raise ValueError(f"{key}: a weight factor (m_B^2, m_F^2, g^2, g*m_F) overflows")
         if config is not None:
             n_max = max(config.n_fermion_modes, config.n_antifermion_modes, config.n_boson_modes)
             if self.inertia_cutoff < n_max:
@@ -141,30 +147,41 @@ def _c(mode: int, dagger: bool) -> tuple:
     return ("c", mode, dagger)
 
 
+def _dagger(name: tuple) -> tuple:
+    """The adjoint operand's name: a base key's dagger flipped, a product's keys reversed."""
+    if isinstance(name[0], tuple):
+        a, b = name
+        return _dagger(b), _dagger(a)
+    return (*name[:-1], not name[-1])
+
+
+def _nonzero(jobs) -> list:
+    return [job for job in jobs if job[2] != 0.0]
+
+
+def _plus_hc(jobs) -> list:
+    """The nonzero jobs of an "X + h.c." family, each followed by its adjoint job."""
+    return [job for left, right, w in _nonzero(jobs)
+            for job in ((left, right, w), (_dagger(left), _dagger(right), w))]
+
+
 def _part_slices(part: str, config: ModeConfig, params: ModelParams):
     """The part's jobs ``(left, right, weight)``, one list per outer mode index."""
     nf, na, nb = config.n_fermion_modes, config.n_antifermion_modes, config.n_boson_modes
     g = params.g
     mf, mb = params.fermion_mass, params.boson_mass
-    lam_cut = params.inertia_cutoff
 
     if part == "HM":
+        # (m^2 + inertia) / n times a number operator, self-adjoint, for each species
         jobs = []
-        for n in range(1, nb + 1):
-            coeff = mb**2
-            if params.include_inertias:
-                coeff += g**2 * self_inertia("alpha", n, lam_cut)
-            jobs.append((("a", n, True), ("a", n, False), coeff / n))
-        for n in range(1, nf + 1):
-            coeff = mf**2
-            if params.include_inertias:
-                coeff += g**2 * self_inertia("beta", n, lam_cut)
-            jobs.append((_f("fermion", n, True), _f("fermion", n, False), coeff / n))
-        for n in range(1, na + 1):
-            coeff = mf**2
-            if params.include_inertias:
-                coeff += g**2 * self_inertia("gamma", n, lam_cut)
-            jobs.append((_f("antifermion", n, True), _f("antifermion", n, False), coeff / n))
+        kinds = (("alpha", mb, nb, ("a",)), ("beta", mf, nf, ("f", "fermion")),
+                 ("gamma", mf, na, ("f", "antifermion")))
+        for kind, mass, n_modes, base in kinds:
+            for n in range(1, n_modes + 1):
+                coeff = mass**2
+                if params.include_inertias:
+                    coeff += g**2 * self_inertia(kind, n, params.inertia_cutoff)
+                jobs.append(((*base, n, True), (*base, n, False), coeff / n))
         yield jobs
 
     elif part == "HV":
@@ -172,33 +189,22 @@ def _part_slices(part: str, config: ModeConfig, params: ModelParams):
         for species, n_modes in (("fermion", nf), ("antifermion", na)):
             for k in range(1, n_modes + 1):
                 jobs = []
-                for l in range(1, nb + 1):
+                for l in range(1, min(nb, n_modes - k) + 1):
                     m = k + l
-                    if m > n_modes:
-                        continue
                     w = g * mf * (bracket(k + l, -m) + bracket(k, l - m))
-                    if w == 0.0:
-                        continue
                     jobs.append(((_f(species, k, True), _f(species, m, False)), _c(l, True), w))
-                    jobs.append(((_f(species, m, True), _f(species, k, False)), _c(l, False), w))
-                yield jobs
-        # pair production/annihilation: -(b_k d_m c_l^dag + d_m^dag b_k^dag c_l)
+                yield _plus_hc(jobs)
+        # pair production/annihilation: -(b_k d_m c_l^dag + h.c.)
         for k in range(1, nf + 1):
             jobs = []
-            for m in range(1, na + 1):
+            for m in range(1, min(na, nb - k) + 1):
                 l = k + m
-                if l > nb:
-                    continue
                 w = g * mf * (bracket(k - l, m) + bracket(k, m - l))
-                if w == 0.0:
-                    continue
-                pair = (_f("fermion", k, False), _f("antifermion", m, False))
-                jobs.append((pair, _c(l, True), -w))
-                pair_dag = (_f("antifermion", m, True), _f("fermion", k, True))
-                jobs.append((pair_dag, _c(l, False), -w))
-            yield jobs
+                jobs.append(((_f("fermion", k, False), _f("antifermion", m, False)), _c(l, True), -w))
+            yield _plus_hc(jobs)
 
     elif part == "HS":
+        # b_k^dag b_m c_l^dag c_n, and the d twin: self-adjoint as a sum
         for species, n_modes in (("fermion", nf), ("antifermion", na)):
             for k in range(1, n_modes + 1):
                 jobs = []
@@ -208,11 +214,9 @@ def _part_slices(part: str, config: ModeConfig, params: ModelParams):
                         if not 1 <= n <= nb:
                             continue
                         w = g**2 * (bracket(k - n, l - m) + bracket(k + l, -m - n))
-                        if w == 0.0:
-                            continue
                         bilinear = (_f(species, k, True), _f(species, m, False))
                         jobs.append((bilinear, (_c(l, True), _c(n, False)), w))
-                yield jobs
+                yield _nonzero(jobs)
         # d_k b_m c_l^dag c_n^dag + h.c.: pair annihilation into two bosons
         for k in range(1, na + 1):
             jobs = []
@@ -222,13 +226,9 @@ def _part_slices(part: str, config: ModeConfig, params: ModelParams):
                     if not 1 <= n <= nb:
                         continue
                     w = g**2 * bracket(l - k, n - m)
-                    if w == 0.0:
-                        continue
                     pair = (_f("antifermion", k, False), _f("fermion", m, False))
                     jobs.append((pair, (_c(l, True), _c(n, True)), w))
-                    pair_dag = (_f("fermion", m, True), _f("antifermion", k, True))
-                    jobs.append((pair_dag, (_c(n, False), _c(l, False)), w))
-            yield jobs
+            yield _plus_hc(jobs)
 
     elif part == "HF":
         # b_k^dag b_m c_l^dag c_n^dag + h.c. with m = k + l + n, and the d twin
@@ -236,42 +236,22 @@ def _part_slices(part: str, config: ModeConfig, params: ModelParams):
             for k in range(1, n_modes + 1):
                 jobs = []
                 for l in range(1, nb + 1):
-                    for n in range(1, nb + 1):
+                    for n in range(1, min(nb, n_modes - k - l) + 1):
                         m = k + l + n
-                        if m > n_modes:
-                            continue
                         w = g**2 * bracket(k + l, n - m)
-                        if w == 0.0:
-                            continue
                         up = (_f(species, k, True), _f(species, m, False))
                         jobs.append((up, (_c(l, True), _c(n, True)), w))
-                        down = (_f(species, m, True), _f(species, k, False))
-                        jobs.append((down, (_c(n, False), _c(l, False)), w))
-                yield jobs
+                yield _plus_hc(jobs)
         # boson splitting into a pair plus a boson: b_k^dag d_m^dag c_l^dag c_n + h.c.
         for k in range(1, nf + 1):
             jobs = []
             for m in range(1, na + 1):
-                for l in range(1, nb + 1):
+                for l in range(1, nb - k - m + 1):
                     n = k + l + m
-                    if n > nb:
-                        continue
                     w = g**2 * (bracket(k - n, m + l) + bracket(k + l, m - n))
-                    if w == 0.0:
-                        continue
                     pair_dag = (_f("fermion", k, True), _f("antifermion", m, True))
                     jobs.append((pair_dag, (_c(l, True), _c(n, False)), w))
-                    pair = (_f("antifermion", m, False), _f("fermion", k, False))
-                    jobs.append((pair, (_c(n, True), _c(l, False)), w))
-            yield jobs
-
-
-def _assemble(slices, lad: _Ladders) -> PauliSum:
-    """Sum_j w_j * (A_j . B_j) over the named jobs, with the operands from ``lad``."""
-    slices = [tuple(zip(*jobs)) for jobs in slices if jobs]  # (lefts, rights, weights) each
-    lad.operands([name for lefts, rights, _ in slices for name in lefts + rights])
-    batches = ((lad.operands(lefts), lad.operands(rights), w) for lefts, rights, w in slices)
-    return sum_of_products(lad.layout.total_qubits, batches)
+            yield _plus_hc(jobs)
 
 
 def build_part(
@@ -286,10 +266,14 @@ def build_part(
 
 
 def _build_part(part: str, config: ModeConfig, params: ModelParams, lad: _Ladders) -> PauliSum:
+    """Sum_j w_j * (A_j . B_j) over the part's jobs, sliced as (lefts, rights, weights)."""
     if part not in PARTS:
         raise ValueError(f"unknown Hamiltonian part {part!r}")
     params.validate(config)
-    return _assemble(_part_slices(part, config, params), lad)
+    slices = [tuple(zip(*jobs)) for jobs in _part_slices(part, config, params) if jobs]
+    lad.operands([name for lefts, rights, _ in slices for name in lefts + rights])
+    batches = ((lad.operands(lefts), lad.operands(rights), w) for lefts, rights, w in slices)
+    return sum_of_products(lad.layout.total_qubits, batches)
 
 
 def build_h(

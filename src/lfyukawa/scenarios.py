@@ -339,11 +339,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if modals & (modals + 1):
         raise PhysicsError(f"modals: cap {modals} is not of the form 2**t - 1")
     width = modals.bit_length()
-    ladder = width * _BYTES_PER_LADDER_STRING << width
-    memory = _physical_memory()
-    _require(not memory or ladder <= memory, "modals",
-             f"the ladder of a {width}-qubit boson block needs about {ladder / 1e9:.3g} GB, more "
-             f"than the {memory / 1e9:.3g} GB of physical memory", PhysicsError)
+    _require_memory(width * _BYTES_PER_LADDER_STRING << width, "modals",
+                    f"the ladder of a {width}-qubit boson block needs")
     mode_config = ModeConfig(nf, na, nb, (modals,) * nb)
     kinds = {float: _number, int: _integer, bool: _boolean}  # by the type of the default
     params = ModelParams(
@@ -377,8 +374,16 @@ def parse_config(text: str) -> ScenarioConfig:
             "evolution",
             "t_max must be a positive multiple of dt",
         )
+        # _observation_times rounds the times i * dt, i = 0..n, to 12 decimals.  Rounding is
+        # monotone and the times grow by dt, so they stay distinct iff the last one rounds to at
+        # least n units of 1e-12.
+        n = round(ratio)
+        last = n * dt * 1e12
+        _require(math.isfinite(last) and round(last) >= n, "evolution",
+                 f"the {n + 1} observation times 0, dt, ..., t_max, rounded to 12 decimals, "
+                 "would repeat a time or overflow")
         if mode == "trotter" and n_steps is None:
-            n_steps = int(round(ratio))
+            n_steps = n
     trotter_steps = _axis(merged, "trotter_steps", _count)
     _require(trotter_steps is None or mode == "trotter", "trotter_steps", "needs trotter evolution")
 
@@ -413,10 +418,9 @@ def parse_config(text: str) -> ScenarioConfig:
         qubits = QubitLayout(config).total_qubits
         _require(qubits <= MAX_QUBITS, register_key,
                  f"a {qubits}-qubit register exceeds the {MAX_QUBITS}-qubit limit", PhysicsError)
-        need = _TROTTER_BYTES_PER_AMP << qubits
-        _require(mode == "exact" or not memory or need <= memory, register_key,
-                 f"Trotter evolution of {qubits} qubits needs about {need / 1e9:.3g} GB, more "
-                 f"than the {memory / 1e9:.3g} GB of physical memory", PhysicsError)
+        if mode == "trotter":
+            _require_memory(_TROTTER_BYTES_PER_AMP << qubits, register_key,
+                            f"Trotter evolution of {qubits} qubits needs")
         try:
             params.validate(config)
         except ValueError as err:
@@ -429,6 +433,11 @@ def parse_config(text: str) -> ScenarioConfig:
             message = f"sector dimension {dim} of {label!r} exceeds cap {SECTOR_DIM_CAP}"
             _require(dim <= SECTOR_DIM_CAP, state_key, message, PhysicsError)
             dims.append(dim)
+    for i, lam in enumerate(cfg.lambdas or ()):  # params passed above: only the coupling can fail
+        try:
+            replace(params, coupling=lam).validate()
+        except ValueError as err:
+            raise PhysicsError(f"lambdas[{i}]{str(err).removeprefix('coupling')}") from None
     # the records and exact_evolve's arrays grow with the time grid, which
     # _observation_times allocates in full
     n_times = 1 if dt is None else round(t_max / dt) + (mode == "exact")
@@ -437,10 +446,8 @@ def parse_config(text: str) -> ScenarioConfig:
     need = records * _BYTES_PER_RECORD + n_times * max(dims) * _BYTES_PER_EXACT_AMP
     if PRESETS[scenario].get("probabilities"):
         need += cells * sum(dims) * _BYTES_PER_MAP_ENTRY
-    _require(not memory or need <= memory, "evolution",
-             f"{n_times} observation times make {records} records needing about "
-             f"{need / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB of physical memory",
-             PhysicsError)
+    _require_memory(need, "evolution",
+                    f"{n_times} observation times make {records} records needing")
     return cfg
 
 
@@ -448,10 +455,15 @@ def _require_count_table(config: ModeConfig, K: int, Q: int, path: str) -> None:
     """PhysicsError at path if the int64 table that counts and lists sector (K, Q) exceeds memory."""
     shape = _table_shape(config, K, Q)
     need = 8 * math.prod(shape) if shape else 0
+    _require_memory(need, path, f"sector K={K} Q={Q} needs a count table of")
+
+
+def _require_memory(need: int, path: str, what: str) -> None:
+    """PhysicsError at path if ``what`` about ``need`` bytes exceeds the physical memory."""
     memory = _physical_memory()
-    _require(not memory or need <= memory, path,
-             f"sector K={K} Q={Q} needs a count table of about {need / 1e9:.3g} GB, more than "
-             f"the {memory / 1e9:.3g} GB of physical memory", PhysicsError)
+    if memory and need > memory:
+        raise PhysicsError(f"{path}: {what} about {need / 1e9:.3g} GB, more than "
+                           f"the {memory / 1e9:.3g} GB of physical memory")
 
 
 def _physical_memory() -> int:

@@ -281,10 +281,20 @@ def _same_assembly(got, want):
     )
 
 
-@pytest.mark.parametrize("n_modes", [3, 4, 5, 6])
-def test_assembly_equals_the_term_by_term_reference(n_modes):
+@pytest.mark.parametrize(
+    "config",
+    [pytest.param(ModeConfig.uniform(n, 3), id=str(n)) for n in (3, 4, 5, 6)]
+    + [  # species ranges that differ, where a wrong adjoint or derived-index bound shows
+        pytest.param(c, id=f"{c.n_fermion_modes}-{c.n_antifermion_modes}-{c.n_boson_modes}")
+        for c in (
+            ModeConfig(3, 2, 4, (3, 1, 7, 3)),
+            ModeConfig(2, 4, 3, (1, 3, 1)),
+            ModeConfig(5, 1, 2, (3, 3)),
+        )
+    ],
+)
+def test_assembly_equals_the_term_by_term_reference(config):
     """Every part and the sum equal the dict-loop assembly bit for bit."""
-    config = ModeConfig.uniform(n_modes, 3)
     layout = QubitLayout(config)
     for coupling, cross, inertias in itertools.product((1.0, 13.315), (True, False), (False, True)):
         params = ModelParams(coupling=coupling, include_inertias=inertias)

@@ -93,13 +93,22 @@ def test_schema_errors_carry_field_paths():
     assert most.shots == 2**63 - 1
 
 
-def test_physics_errors_are_distinct():
+def test_physics_errors_are_distinct(tmp_path, capsys, monkeypatch):
     with pytest.raises(PhysicsError, match="masses"):
         parse_config('{"scenario": "rabi", "fermion_mass": -1}')
     with pytest.raises(PhysicsError, match="inertia_cutoff"):
         parse_config('{"scenario": "rabi", "inertia_cutoff": 2}')
     with pytest.raises(PhysicsError, match="modals"):
         parse_config('{"scenario": "rabi", "modals": 2}')
+    # a weight factor m_B^2, m_F^2, g^2 or g*m_F that overflows, at the key that sets it
+    for key in ("coupling", "fermion_mass", "boson_mass"):
+        with pytest.raises(PhysicsError, match=f"^{key}: a weight factor"):
+            parse_config(json.dumps({"scenario": "rabi", key: 1e200}))
+    with pytest.raises(PhysicsError, match=r"^lambdas\[1\]: a weight factor"):
+        parse_config('{"scenario": "coupling-sweep", "lambdas": [1.0, 1e200]}')
+    monkeypatch.setattr(scenarios, "build_h", _refuse)
+    assert _run_cli(tmp_path, {"scenario": "coupling-sweep", "lambdas": [1.0, 1e200]}) == 2
+    assert "config error: lambdas[1]: a weight factor" in capsys.readouterr().err
 
 
 _json_values = st.recursive(
@@ -518,6 +527,15 @@ def test_time_grid_guard_exits_2_before_allocation(tmp_path, capsys, monkeypatch
         (
             {"scenario": "rabi", "evolution": {"mode": "trotter", "t_max": 1000.0, "dt": 1e-6}},
             "evolution: 1000000000 observation times make 1000000000 records",
+        ),
+        # rounded to 12 decimals, the times would all read 0, or read inf
+        (
+            {"scenario": "rabi", "evolution": {"t_max": 5e-13, "dt": 1e-13}},
+            "evolution: the 6 observation times 0, dt, ..., t_max, rounded to 12 decimals,",
+        ),
+        (
+            {"scenario": "rabi", "evolution": {"t_max": 1e300, "dt": 1e299}},
+            "evolution: the 11 observation times 0, dt, ..., t_max, rounded to 12 decimals,",
         ),
     ]
     for doc, message in refused:
