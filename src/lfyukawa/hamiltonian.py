@@ -45,6 +45,8 @@ class ModelParams:
     time itself.  ``inertia_cutoff`` bounds the self-induced inertia sums and must not
     be below the largest mode number in play.  Each field is a ``parse_config`` key with
     this default, checked as a number, an integer or a boolean by the default's type.
+    ``validate`` also refuses a weight factor that overflows and, given the register, a
+    bound on the assembled coefficients (``_coefficient_scale``) that overflows.
     """
 
     fermion_mass: float = 6.7
@@ -60,9 +62,10 @@ class ModelParams:
     def validate(self, config: ModeConfig | None = None):
         if self.fermion_mass <= 0 or self.boson_mass <= 0:
             raise ValueError("masses must be positive (massive-field regularization)")
-        g, mf, mb = self.g, self.fermion_mass, self.boson_mass
-        for key, factor in (("boson_mass", mb * mb), ("fermion_mass", mf * mf),
-                            ("coupling", g * g), ("coupling", g * mf)):
+        g, mf, mb = abs(self.g), self.fermion_mass, self.boson_mass
+        factors = (("boson_mass", mb * mb), ("fermion_mass", mf * mf), ("coupling", g * g),
+                   ("coupling", g * mf))
+        for key, factor in factors:
             if not math.isfinite(factor):
                 raise ValueError(f"{key}: a weight factor (m_B^2, m_F^2, g^2, g*m_F) overflows")
         if config is not None:
@@ -71,6 +74,11 @@ class ModelParams:
                 raise ValueError(
                     f"inertia_cutoff {self.inertia_cutoff} below the largest mode number {n_max}"
                 )
+            scale = _coefficient_scale(config, self)
+            for key, factor in factors:
+                if not math.isfinite(scale * factor):
+                    raise ValueError(f"{key}: the bound on the Hamiltonian's coefficients, "
+                                     "jobs x largest weight x operand 1-norms, overflows")
 
 
 def bracket(n: int, m: int) -> float:
@@ -252,6 +260,30 @@ def _part_slices(part: str, config: ModeConfig, params: ModelParams):
                     pair_dag = (_f("fermion", k, True), _f("antifermion", m, True))
                     jobs.append((pair_dag, (_c(l, True), _c(n, False)), w))
             yield _plus_hc(jobs)
+
+
+def _coefficient_scale(config: ModeConfig, params: ModelParams) -> float:
+    """A factor that, times the largest of m_B^2, m_F^2, g^2 and g m_F, bounds every coefficient.
+
+    A coefficient sums w * (a coefficient of A . B) over the jobs of ``_part_slices``, so it is
+    at most (number of jobs) * max|w| * |A|_1 * |B|_1, with |.|_1 the coefficient 1-norm.
+    - A bracket sum is at most 2 and a self-inertia at most I = 2 (1 + ln inertia_cutoff), so
+      every weight, (m^2 + g^2 * inertia) / n, 2 g m_F or 2 g^2, is at most 2 max(1, I) times
+      the largest weight factor.
+    - A fermion operand (a ladder or a product of two) has 1-norm at most 1.  A boson ladder's
+      is at most modals^(3/2): it moves between modals + 1 levels by at most sqrt(modals), and
+      each move is a product of single-qubit operators of 1-norm 1.  So |A|_1 |B|_1 <= modals^3.
+    - The jobs are at most the iterations of ``_part_slices``' loops, counted part by part.
+    """
+    nf, na, nb = config.n_fermion_modes, config.n_antifermion_modes, config.n_boson_modes
+    jobs = (
+        nf + na + nb  # H_M
+        + 2 * (nf + na) * nb + 2 * nf * na  # H_V
+        + (nf * nf + na * na) * nb + 2 * na * nf * nb  # H_S
+        + 2 * (nf + na) * nb * nb + 2 * nf * na * nb  # H_F
+    )
+    inertia = 2 * (1 + math.log(params.inertia_cutoff)) if params.include_inertias else 0.0
+    return 2 * max(1.0, inertia) * jobs * max(config.boson_modals) ** 3
 
 
 def build_part(

@@ -5,7 +5,10 @@ oscillation, the Trotter-step study, the coupling sweep over four initial
 states, the mode-cutoff study, the two-proton collision and the minimal
 two-mode run.  A configuration document is JSON; any field given overrides the
 preset default and the fully resolved configuration is echoed in the run
-manifest so every run can be reproduced without the preset table.
+manifest so every run can be reproduced without the preset table.  The key table
+``_KEYS`` is the one place where a document key is defined, with its default and
+its check (and a sweep axis's CSV column): parsing, the unknown-key check, the
+manifest echo and the sweep columns all read it.
 
 Every preset runs on the same grid of mode cutoff x coupling x Trotter step
 count x initial state; a preset only fixes which axes it sweeps and a few
@@ -19,7 +22,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -63,12 +68,10 @@ class PhysicsError(ConfigError):
     """Well-formed document describing unphysical parameters."""
 
 
-# Preset fields that are not configuration keys: CSV columns after the standard
-# ones, the probability that ``shots`` estimates (default survival), the
-# particle counts of the transition targets (see _Start) and whether each
-# record's full probability map is written.
-_PRESET_ONLY = {"description", "extra_columns", "sampled", "target_content", "probabilities"}
-
+# A preset sets configuration keys and a few fields that are not keys: CSV columns after
+# the standard ones, the probability that ``shots`` estimates (default survival), the
+# particle counts of the transition targets (see _Start) and whether each record's full
+# probability map is written.
 PRESETS: dict[str, dict] = {
     "rabi": {
         "description": "exact two-level oscillation of a mode-2 fermion (3 modes, lambda=4)",
@@ -158,15 +161,6 @@ _BYTES_PER_EXACT_AMP = 48
 # holds t * 2**t strings (2, 8, 24, 64, 160, 384, 896, 2048 counted for t = 1..8).
 _BYTES_PER_LADDER_STRING = 32
 
-# Sweep axes in column order: (configuration key, CSV column).
-_AXES = (
-    ("n_values", "n_max"),
-    ("lambdas", "lambda"),
-    ("trotter_steps", "n_trotter"),
-    ("initial_states", "state"),
-)
-
-
 @dataclass
 class ScenarioConfig:
     """Fully resolved run description (all defaults applied)."""
@@ -184,39 +178,19 @@ class ScenarioConfig:
     shots: int
     seed: int
     output_dir: str
-    lambdas: tuple[float, ...] | None = None
-    trotter_steps: tuple[int, ...] | None = None
-    n_values: tuple[int, ...] | None = None
-    initial_states: tuple[str, ...] | None = None
-    cross_species_string: bool = True
+    lambdas: tuple[float, ...] | None
+    trotter_steps: tuple[int, ...] | None
+    n_values: tuple[int, ...] | None
+    initial_states: tuple[str, ...] | None
+    cross_species_string: bool
 
     def echo(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            **asdict(self.mode_config),
-            "boson_modals": list(self.mode_config.boson_modals),
-            **asdict(self.params),
-            "g": self.params.g,
-            "parts": list(self.parts),
-            "initial_state": self.initial_state,
-            "evolution": {
-                "mode": self.mode,
-                "t_max": self.t_max,
-                "dt": self.dt,
-                "n_steps": self.n_steps,
-                "order": self.order,
-            },
-            "shots": self.shots,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "cross_species_string": self.cross_species_string,
-            "tolerances": dict(_TOLERANCES),
-        }
-        for key, _ in _AXES:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = list(value)
-        return out
+        """Each key of _KEYS that the run holds a value for, boson_modals, g and the tolerances."""
+        values = {**asdict(self), **asdict(self.mode_config), **asdict(self.params),
+                  "g": self.params.g, "tolerances": dict(_TOLERANCES)}
+        values["evolution"] = {key: values[key] for key in _EVOLUTION}
+        return {key: list(values[key]) if isinstance(values[key], tuple) else values[key]
+                for key in (*_KEYS, "boson_modals", "g", "tolerances") if values.get(key) is not None}
 
     def registers(self) -> list[tuple[int | None, ModeConfig]]:
         """The mode-cutoff axis: (n_max, mode config) per register, n_max None if not swept."""
@@ -224,30 +198,6 @@ class ScenarioConfig:
             return [(None, self.mode_config)]
         modals = self.mode_config.boson_modals[0]
         return [(n, ModeConfig.uniform(n, modals)) for n in self.n_values]
-
-
-_KNOWN_KEYS = {
-    "scenario",
-    "description",
-    "n_modes",
-    "n_fermion_modes",
-    "n_antifermion_modes",
-    "n_boson_modes",
-    "modals",
-    *(f.name for f in fields(ModelParams)),
-    "parts",
-    "initial_state",
-    "evolution",
-    "shots",
-    "seed",
-    "output_dir",
-    "lambdas",
-    "trotter_steps",
-    "n_values",
-    "initial_states",
-    "cross_species_string",
-}
-_EVOLUTION_KEYS = {"mode", "t_max", "dt", "n_steps", "order"}
 
 
 def _require(cond: bool, path: str, message: str, error=SchemaError):
@@ -259,10 +209,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _number(value, path: str, *_, positive: bool = False) -> float:
+    """A finite JSON number as a float."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(is_number, path, "must be a number")
+    _require(abs(value) <= sys.float_info.max, path, "must be a finite number")
+    value = float(value)
+    _require(value > 0 or not positive, path, "must be a positive number")
+    return value
+
+
 def _check(test, message: str):
     """Validator returning its value unchanged, or raising SchemaError at the value's path."""
 
-    def check(value, path: str):
+    def check(value, path: str, *_):
         _require(test(value), path, message)
         return value
 
@@ -279,28 +239,131 @@ _count = _check(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _modes = _check(
     lambda v: _is_int(v) and 1 <= v <= MAX_MODES, f"must be an integer from 1 to {MAX_MODES}"
 )
-_parts = _check(
-    lambda v: isinstance(v, list) and all(p in PARTS for p in v) and len(set(v)) == len(v),
-    f"must be a list of distinct Hamiltonian parts out of {', '.join(PARTS)}",
-)
+_positive = partial(_number, positive=True)
 
 
-def _number(value, path: str, positive: bool = False) -> float:
-    """A finite JSON number as a float."""
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    _require(is_number, path, "must be a number")
-    _require(abs(value) <= sys.float_info.max, path, "must be a finite number")
-    value = float(value)
-    _require(value > 0 or not positive, path, "must be a positive number")
+def _axis(check):
+    """A sweep axis: a non-empty list of entries that pass check, as a tuple."""
+
+    def axis(value, path: str, *_):
+        _require(isinstance(value, list) and value, path, "must be a non-empty list")
+        return tuple(check(entry, f"{path}[{i}]") for i, entry in enumerate(value))
+
+    return axis
+
+
+def _scenario(value, path: str, *_) -> str:
+    _require(isinstance(value, str), path, "a scenario name is required")
+    _require(value in PRESETS, path, f"unknown scenario {value!r}, see list-scenarios")
     return value
 
 
-def _axis(merged: dict, key: str, check) -> tuple | None:
-    value = merged.get(key)
-    if value is None:
-        return None
-    _require(isinstance(value, list) and value, key, "must be a non-empty list")
-    return tuple(check(entry, f"{key}[{i}]") for i, entry in enumerate(value))
+def _modals(value, path: str, *_) -> int:
+    """A modal cap 2**t - 1 whose t-qubit boson block fits a register, and its ladder memory."""
+    modals = _count(value, path)
+    _require(not modals & (modals + 1), path, f"cap {modals} is not of the form 2**t - 1",
+             PhysicsError)
+    width = modals.bit_length()
+    _require(width <= MAX_QUBITS, path,
+             f"a {width}-qubit boson block exceeds the {MAX_QUBITS}-qubit limit", PhysicsError)
+    _require_memory(width * _BYTES_PER_LADDER_STRING << width, path,
+                    f"the ladder of a {width}-qubit boson block needs")
+    return modals
+
+
+def _parts(value, path: str, *_) -> tuple[str, ...]:
+    distinct = isinstance(value, list) and all(p in PARTS for p in value) and len(set(value)) == len(value)
+    _require(distinct, path, f"must be a list of distinct Hamiltonian parts out of {', '.join(PARTS)}")
+    return tuple(value)
+
+
+def _evolution(value: dict, path: str, *_) -> dict:
+    """The evolution keys, with dt and n_steps resolved."""
+    evo = _read(_EVOLUTION, value, path + ".")
+    mode, t_max, dt, n_steps = evo["mode"], evo["t_max"], evo["dt"], evo["n_steps"]
+    if dt is None and n_steps is None:
+        _require(mode == "exact", path, "trotter evolution needs dt or n_steps")
+        dt = 0.02  # reference resolution
+    if dt is not None and n_steps is not None:
+        product = dt * _number(n_steps, path + ".n_steps")
+        _require(
+            abs(product - t_max) <= 1e-9,
+            path,
+            f"dt*n_steps = {product!r} inconsistent with t_max = {t_max!r}",
+        )
+    if dt is not None:  # every run observes t_max itself
+        ratio = t_max / dt
+        _require(
+            math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9,
+            path,
+            "t_max must be a positive multiple of dt",
+        )
+        # _observation_times rounds the times i * dt, i = 0..n, to 12 decimals.  Rounding is
+        # monotone and the times grow by dt, so they stay distinct iff the last one rounds to at
+        # least n units of 1e-12.
+        n = round(ratio)
+        last = n * dt * 1e12
+        _require(math.isfinite(last) and round(last) >= n, path,
+                 f"the {n + 1} observation times 0, dt, ..., t_max, rounded to 12 decimals, "
+                 "would repeat a time or overflow")
+        if mode == "trotter" and n_steps is None:
+            n_steps = n
+    return {**evo, "dt": dt, "n_steps": n_steps}
+
+
+def _trotter_steps(value, path: str, values: dict) -> tuple[int, ...]:
+    steps = _axis(_count)(value, path)
+    _require(values["evolution"]["mode"] == "trotter", path, "needs trotter evolution")
+    return steps
+
+
+# A document key: its default, a value or a function of the values read before it (None makes
+# the key optional: null reads as absent), its check(value, path, values read before), which
+# returns the configuration value or raises a ConfigError, and a sweep axis's CSV column.
+_Key = namedtuple("_Key", "default check column", defaults=[None])
+_KINDS = {float: _number, int: _integer, bool: _boolean}  # a ModelParams key's, by its default
+
+# The keys of the evolution object, then every document key, each in the order parse_config
+# reads them, so that a document with several faults reports the first in this order.
+_EVOLUTION = {
+    "mode": _Key("exact", _check(lambda v: v in ("exact", "trotter"), "must be 'exact' or 'trotter'")),
+    "t_max": _Key(0.2, _positive),
+    "order": _Key(1, _check(lambda v: _is_int(v) and v in (1, 2), "must be 1 or 2")),
+    "dt": _Key(None, _positive),
+    "n_steps": _Key(None, _count),
+}
+_KEYS = {
+    "scenario": _Key(None, _scenario),
+    "description": _Key(None, lambda value, *_: value),  # free text that nothing reads
+    "n_modes": _Key(3, _modes),
+    "n_fermion_modes": _Key(lambda values: values["n_modes"], _modes),
+    "n_antifermion_modes": _Key(lambda values: values["n_modes"], _modes),
+    "n_boson_modes": _Key(lambda values: values["n_modes"], _modes),
+    "modals": _Key(3, _modals),
+    **{f.name: _Key(f.default, _KINDS[type(f.default)]) for f in fields(ModelParams)},
+    "evolution": _Key({}, _evolution),
+    "trotter_steps": _Key(None, _trotter_steps, "n_trotter"),
+    "parts": _Key(list(PARTS), _parts),
+    "initial_state": _Key("f2", _string),
+    "shots": _Key(0, _shots),
+    "seed": _Key(1234, _integer),
+    "output_dir": _Key(lambda values: os.path.join("runs", values["scenario"]), _string),
+    "lambdas": _Key(None, _axis(_number), "lambda"),
+    "n_values": _Key(None, _axis(_modes), "n_max"),
+    "initial_states": _Key(None, _axis(_string), "state"),
+    "cross_species_string": _Key(True, _boolean),
+}
+_KNOWN_KEYS = set(_KEYS)
+_EVOLUTION_KEYS = set(_EVOLUTION)
+
+
+def _read(table: dict, doc: dict, prefix: str = "") -> dict:
+    """Each key of the table, in its order: the document's value or the default, checked."""
+    values = {}
+    for key, (default, check, _) in table.items():
+        value = doc.get(key, default(values) if callable(default) else default)
+        values[key] = None if value is None and default is None else check(value, prefix + key, values)
+    return values
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -310,119 +373,40 @@ def parse_config(text: str) -> ScenarioConfig:
     except (ValueError, RecursionError) as err:
         raise SchemaError(f"document is not valid JSON: {err}") from None
     _require(isinstance(doc, dict), "$", "top level must be a JSON object")
-    scenario = doc.get("scenario")
-    _require(isinstance(scenario, str), "scenario", "a scenario name is required")
-    if scenario not in PRESETS:
-        raise SchemaError(f"scenario: unknown scenario {scenario!r}, see list-scenarios")
-    merged: dict = {k: v for k, v in PRESETS[scenario].items() if k not in _PRESET_ONLY}
+    scenario = _scenario(doc.get("scenario"), "scenario")
+    merged = {key: value for key, value in PRESETS[scenario].items() if key in _KNOWN_KEYS}
     for key, value in doc.items():
+        _require(key in _KNOWN_KEYS, key, "unknown field")
         if key == "evolution":
-            evo = dict(merged.get("evolution", {}))
-            _require(isinstance(value, dict), "evolution", "must be an object")
-            for ek, ev in value.items():
-                _require(ek in _EVOLUTION_KEYS, f"evolution.{ek}", "unknown field")
-                evo[ek] = ev
-            merged["evolution"] = evo
-        else:
-            _require(key in _KNOWN_KEYS, key, "unknown field")
-            merged[key] = value
-
-    def field(key, default, check):
-        return check(merged.get(key, default), key)
-
-    n_modes = field("n_modes", 3, _modes)
-    nf, na, nb = (
-        field(key, n_modes, _modes)
-        for key in ("n_fermion_modes", "n_antifermion_modes", "n_boson_modes")
-    )
-    modals = field("modals", 3, _count)
-    if modals & (modals + 1):
-        raise PhysicsError(f"modals: cap {modals} is not of the form 2**t - 1")
-    width = modals.bit_length()
-    _require_memory(width * _BYTES_PER_LADDER_STRING << width, "modals",
-                    f"the ladder of a {width}-qubit boson block needs")
-    mode_config = ModeConfig(nf, na, nb, (modals,) * nb)
-    kinds = {float: _number, int: _integer, bool: _boolean}  # by the type of the default
-    params = ModelParams(
-        **{f.name: field(f.name, f.default, kinds[type(f.default)]) for f in fields(ModelParams)}
-    )
-
-    evo = merged.get("evolution", {})
-    mode = evo.get("mode", "exact")
-    _require(mode in ("exact", "trotter"), "evolution.mode", "must be 'exact' or 'trotter'")
-    t_max = _number(evo.get("t_max", 0.2), "evolution.t_max", positive=True)
-    order = evo.get("order", 1)
-    _require(_is_int(order) and order in (1, 2), "evolution.order", "must be 1 or 2")
-    dt = evo.get("dt")
-    dt = None if dt is None else _number(dt, "evolution.dt", positive=True)
-    n_steps = evo.get("n_steps")
-    n_steps = None if n_steps is None else _count(n_steps, "evolution.n_steps")
-    if dt is None and n_steps is None:
-        _require(mode == "exact", "evolution", "trotter evolution needs dt or n_steps")
-        dt = 0.02  # reference resolution
-    if dt is not None and n_steps is not None:
-        product = dt * _number(n_steps, "evolution.n_steps")
-        _require(
-            abs(product - t_max) <= 1e-9,
-            "evolution",
-            f"dt*n_steps = {product!r} inconsistent with t_max = {t_max!r}",
-        )
-    if dt is not None:  # every run observes t_max itself
-        ratio = t_max / dt
-        _require(
-            math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9,
-            "evolution",
-            "t_max must be a positive multiple of dt",
-        )
-        # _observation_times rounds the times i * dt, i = 0..n, to 12 decimals.  Rounding is
-        # monotone and the times grow by dt, so they stay distinct iff the last one rounds to at
-        # least n units of 1e-12.
-        n = round(ratio)
-        last = n * dt * 1e12
-        _require(math.isfinite(last) and round(last) >= n, "evolution",
-                 f"the {n + 1} observation times 0, dt, ..., t_max, rounded to 12 decimals, "
-                 "would repeat a time or overflow")
-        if mode == "trotter" and n_steps is None:
-            n_steps = n
-    trotter_steps = _axis(merged, "trotter_steps", _count)
-    _require(trotter_steps is None or mode == "trotter", "trotter_steps", "needs trotter evolution")
-
+            _require(isinstance(value, dict), key, "must be an object")
+            for ek in value:
+                _require(ek in _EVOLUTION_KEYS, f"{key}.{ek}", "unknown field")
+            value = {**merged.get(key, {}), **value}
+        merged[key] = value
+    v = _read(_KEYS, merged)
+    nb = v["n_boson_modes"]
     cfg = ScenarioConfig(
-        scenario=scenario,
-        mode_config=mode_config,
-        params=params,
-        parts=tuple(field("parts", list(PARTS), _parts)),
-        initial_state=field("initial_state", "f2", _string),
-        mode=mode,
-        t_max=t_max,
-        dt=dt,
-        n_steps=n_steps,
-        order=order,
-        shots=field("shots", 0, _shots),
-        seed=field("seed", 1234, _integer),
-        output_dir=field("output_dir", os.path.join("runs", scenario), _string),
-        lambdas=_axis(merged, "lambdas", _number),
-        trotter_steps=trotter_steps,
-        n_values=_axis(merged, "n_values", _modes),
-        initial_states=_axis(merged, "initial_states", _string),
-        cross_species_string=field("cross_species_string", True, _boolean),
+        mode_config=ModeConfig(v["n_fermion_modes"], v["n_antifermion_modes"], nb, (v["modals"],) * nb),
+        params=ModelParams(**{f.name: v[f.name] for f in fields(ModelParams)}),
+        **v["evolution"],
+        **{f.name: v[f.name] for f in fields(ScenarioConfig) if f.name in v},
     )
     # fail early, before anything is allocated, on registers too wide or too large to evolve,
     # on exactly evolved sectors above the cap and on parameters or initial states that some
     # register of the run cannot hold
     register_key = "n_modes" if cfg.n_values is None else "n_values"
     state_key = "initial_state" if cfg.initial_states is None else "initial_states"
-    exactly = mode == "exact" or "transition_exact" in PRESETS[scenario].get("extra_columns", ())
+    exactly = cfg.mode == "exact" or "transition_exact" in PRESETS[scenario].get("extra_columns", ())
     dims = []  # sector dimension per register and start, 0 where not evolved exactly
     for _, config in cfg.registers():
         qubits = QubitLayout(config).total_qubits
         _require(qubits <= MAX_QUBITS, register_key,
                  f"a {qubits}-qubit register exceeds the {MAX_QUBITS}-qubit limit", PhysicsError)
-        if mode == "trotter":
+        if cfg.mode == "trotter":
             _require_memory(_TROTTER_BYTES_PER_AMP << qubits, register_key,
                             f"Trotter evolution of {qubits} qubits needs")
         try:
-            params.validate(config)
+            cfg.params.validate(config)
         except ValueError as err:
             raise PhysicsError(str(err)) from None
         for label in cfg.initial_states or (cfg.initial_state,):
@@ -434,14 +418,15 @@ def parse_config(text: str) -> ScenarioConfig:
             _require(dim <= SECTOR_DIM_CAP, state_key, message, PhysicsError)
             dims.append(dim)
     for i, lam in enumerate(cfg.lambdas or ()):  # params passed above: only the coupling can fail
-        try:
-            replace(params, coupling=lam).validate()
-        except ValueError as err:
-            raise PhysicsError(f"lambdas[{i}]{str(err).removeprefix('coupling')}") from None
+        for _, config in cfg.registers():
+            try:
+                replace(cfg.params, coupling=lam).validate(config)
+            except ValueError as err:
+                raise PhysicsError(f"lambdas[{i}]{str(err).removeprefix('coupling')}") from None
     # the records and exact_evolve's arrays grow with the time grid, which
     # _observation_times allocates in full
-    n_times = 1 if dt is None else round(t_max / dt) + (mode == "exact")
-    cells = n_times * len(cfg.lambdas or (0,)) * len(trotter_steps or (0,))
+    n_times = 1 if cfg.dt is None else round(cfg.t_max / cfg.dt) + (cfg.mode == "exact")
+    cells = n_times * len(cfg.lambdas or (0,)) * len(cfg.trotter_steps or (0,))
     records = cells * len(dims)
     need = records * _BYTES_PER_RECORD + n_times * max(dims) * _BYTES_PER_EXACT_AMP
     if PRESETS[scenario].get("probabilities"):
@@ -586,7 +571,9 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
 def _run_grid(cfg: ScenarioConfig):
     """Records over n_max x lambda x n_trotter x state, in that order with time last."""
     preset = PRESETS[cfg.scenario]
-    sweep_cols = tuple(col for key, col in _AXES if getattr(cfg, key) is not None)
+    grid = ("n_values", "lambdas", "trotter_steps", "initial_states")  # nesting order
+    axes = [key for key in grid if getattr(cfg, key) is not None]
+    sweep_cols = tuple(_KEYS[key].column for key in axes)
     sampled = f"{preset.get('sampled', 'survival')}_sampled" if cfg.shots else None
     extra_cols = tuple(preset.get("extra_columns", ())) + ((sampled,) if sampled else ())
     with_exact = "transition_exact" in extra_cols
@@ -616,8 +603,8 @@ def _run_grid(cfg: ScenarioConfig):
 
                 def emit(k, j, amp, readout, meta):
                     start = starts[k]
-                    cell = {"n_max": n_max, "lambda": lam, "n_trotter": n_t, "state": start.label}
-                    key = [cell[c] for c in sweep_cols]
+                    cell = dict(zip(grid, (n_max, lam, n_t, start.label)))
+                    key = [cell[axis] for axis in axes]
                     meta.update(zip(sweep_cols, key))
                     rec = EvolutionRecord(
                         float(times[j]), survival(amp, start.amp0),
@@ -651,8 +638,7 @@ def _run_grid(cfg: ScenarioConfig):
 
 def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     """Execute a scenario; returns its records and writes CSV plus a manifest."""
-    if cfg.scenario not in PRESETS:
-        raise SchemaError(f"scenario: unknown scenario {cfg.scenario!r}")
+    _scenario(cfg.scenario, "scenario")
     records, sweep_cols, extra_cols, hams, extras = _run_grid(cfg)
     csv_text = records_to_csv(records, sweep_cols, extra_cols)
     qubits = [QubitLayout(config).total_qubits for _, config in cfg.registers()]

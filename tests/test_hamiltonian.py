@@ -12,6 +12,8 @@ from lfyukawa.fock import FockState, ModeConfig, QubitLayout, enumerate_sector
 from lfyukawa.hamiltonian import (
     PARTS,
     ModelParams,
+    _coefficient_scale,
+    _part_slices,
     bracket,
     build_h,
     build_part,
@@ -232,6 +234,31 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(inertia_cutoff=2).validate(config)
     assert ModelParams(coupling=13.315).g == pytest.approx(13.315 / math.sqrt(4 * math.pi))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ModeConfig.uniform(3, 3), ModeConfig(3, 2, 4, (3, 1, 7, 3)), ModeConfig(2, 4, 3, (1, 3, 1))],
+    ids=["3", "3-2-4", "2-4-3"],
+)
+def test_coefficient_bound_covers_jobs_weights_and_terms(config):
+    """validate refuses parameters whose coefficient bound overflows, so the bound must hold."""
+    modals = max(config.boson_modals)
+    for params in (ModelParams(coupling=13.315, include_inertias=True),
+                   ModelParams(coupling=-3.0, fermion_mass=1.0, include_inertias=True, inertia_cutoff=9)):
+        g, mf, mb = abs(params.g), params.fermion_mass, params.boson_mass
+        factor = max(mb * mb, mf * mf, g * g, g * mf)
+        inertia = 2 * (1 + math.log(params.inertia_cutoff))
+        scale = _coefficient_scale(config, params)
+        jobs = [job for part in PARTS for slice_ in _part_slices(part, config, params) for job in slice_]
+        assert len(jobs) <= scale / (2 * inertia * modals**3)
+        assert max(abs(w) for *_, w in jobs) <= 2 * inertia * factor
+        h = build_h(config, params, QubitLayout(config))
+        assert np.max(np.abs(h.coeffs)) <= scale * factor
+    # g^2 is finite, but the bound on the terms is not
+    with pytest.raises(ValueError, match="^coupling: the bound on the Hamiltonian's coefficients"):
+        ModelParams(coupling=4.7e154).validate(config)
+    ModelParams(coupling=1e100).validate(config)
 
 
 def test_every_model_field_moves_the_hamiltonian():

@@ -111,6 +111,29 @@ def test_physics_errors_are_distinct(tmp_path, capsys, monkeypatch):
     assert "config error: lambdas[1]: a weight factor" in capsys.readouterr().err
 
 
+def test_coefficient_overflow_exits_2_at_parse(tmp_path, capsys, monkeypatch):
+    # g^2 ~ 1.76e308 is finite, but the bound on the assembled coefficients is not: the run
+    # used to warn twice and write rows of nan
+    doc = {"scenario": "rabi", "coupling": 4.7e154, "evolution": {"t_max": 0.02, "dt": 0.01},
+           "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for command in ("run", "dump-hamiltonian"):
+        done = _python("-m", "lfyukawa", command, str(path))
+        assert done.returncode == 2 and done.stdout == ""
+        assert "config error: coupling: the bound on the Hamiltonian's coefficients" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+    monkeypatch.setattr(scenarios, "build_h", _refuse)
+    assert _run_cli(tmp_path, {"scenario": "coupling-sweep", "lambdas": [1.0, 4.7e154]}) == 2
+    assert "config error: lambdas[1]: the bound on" in capsys.readouterr().err
+    # a large coupling whose bound is finite still parses, and builds finite coefficients
+    monkeypatch.setattr(scenarios, "build_h", build_h)
+    path.write_text(json.dumps({"scenario": "rabi", "coupling": 1e100}))
+    assert main(["dump-hamiltonian", str(path)]) == 0
+    coefficients = [float(line.split()[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert coefficients and all(math.isfinite(c) for c in coefficients)
+
+
 _json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -190,6 +213,29 @@ def test_manifest_echoes_everything(tmp_path):
     assert manifest["hamiltonian_hashes"]
     with open(files["manifest"]) as fh:
         assert json.load(fh) == manifest
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"scenario": name} for name in sorted(PRESETS)]
+    + [
+        {"scenario": "rabi", "n_fermion_modes": 2, "n_antifermion_modes": 4, "n_boson_modes": 3,
+         "modals": 7},
+        {"scenario": "coupling-sweep", "initial_states": ["f2", "phi2"], "cross_species_string": False,
+         "seed": 7},
+        {"scenario": "pp-collision", "evolution": {"order": 2}, "include_inertias": True,
+         "inertia_cutoff": 100},
+    ],
+    ids=[*sorted(PRESETS), "species-modals", "states-string-seed", "order-inertias"],
+)
+def test_echo_reparses_to_the_same_configuration(doc):
+    # the manifest echo reproduces the run: it is a document once g and the tolerances are
+    # dropped and the modals per boson mode are given as modals
+    cfg = parse_config(json.dumps(doc))
+    echo = cfg.echo()
+    del echo["g"], echo["tolerances"]
+    echo["modals"] = echo.pop("boson_modals")[0]
+    assert parse_config(json.dumps(echo)) == cfg
 
 
 def test_rerun_byte_reproducible(tmp_path):
@@ -407,8 +453,15 @@ def test_coupling_sweep_reproduces_golden_rows(tmp_path):
         "seed": 11,
         "output_dir": str(tmp_path / "cs"),
     }
-    _, csv_text, _, _ = run_scenario(parse_config(json.dumps(doc)))
+    _, csv_text, manifest, _ = run_scenario(parse_config(json.dumps(doc)))
     assert csv_text.splitlines() == want
+    # the echo and the lambda = 1 and 5 Hamiltonians of the committed run
+    golden = json.loads((GOLDEN / "demo-coupling-sweep" / "coupling-sweep.manifest.json").read_text())
+    for echo in (golden["config"], manifest["config"]):
+        del echo["lambdas"], echo["output_dir"]
+    assert manifest["config"] == golden["config"]
+    hashes = golden["hamiltonian_hashes"]
+    assert manifest["hamiltonian_hashes"] == [hashes[0], hashes[4]]
 
 
 def test_integer_and_float_lambdas_write_identical_csv(tmp_path):
@@ -572,6 +625,10 @@ def test_boson_ladder_and_count_table_guards_exit_2(tmp_path, capsys, monkeypatc
     doc = {"scenario": "rabi", "n_modes": 1, "modals": 2**61 - 1, "initial_state": "1 0 " + "0" * 61}
     assert _run_cli(tmp_path, doc) == 2
     assert "config error: modals: the ladder of a 61-qubit boson block" in capsys.readouterr().err
+    # a block wider than any register is refused before its ladder is estimated
+    assert _run_cli(tmp_path, {"scenario": "rabi", "modals": 2**1100 - 1}) == 2
+    message = "modals: a 1100-qubit boson block exceeds the 63-qubit limit"
+    assert f"config error: {message}" in capsys.readouterr().err
     # two 23-qubit blocks: the ladders fit, the count table of a start at the top K does not
     wide = {"scenario": "rabi", "n_modes": 2, "modals": 2**23 - 1}
     top = dict(wide, initial_state="00 00 " + "1" * 23 + " " + "1" * 23)  # K = 25165821
