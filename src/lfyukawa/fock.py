@@ -2,15 +2,16 @@
 
 A basis state lists the occupancies of fermion, antifermion and boson momentum
 modes (mode ``n`` carries light-front momentum ``n`` in box units).  The qubit
-register holds, left to right, one qubit per fermion mode, one per antifermion
-mode, then a block of ``t = log2(m+1)`` qubits per boson mode storing the
-occupancy in big-endian binary, so occupancy 1 with a 3-qubit block reads
-``001``.
+register holds, left to right, one qubit block per mode: one qubit per fermion
+mode, one per antifermion mode, then ``t = log2(m+1)`` qubits per boson mode
+storing the occupancy in big-endian binary, so occupancy 1 with a 3-qubit block
+reads ``001``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,10 +62,8 @@ class ModeConfig:
 
     @property
     def max_k(self) -> int:
-        """Largest harmonic resolution any representable state can carry."""
-        triangle = lambda n: n * (n + 1) // 2
-        boson = sum(n * m for n, m in enumerate(self.boson_modals, start=1))
-        return triangle(self.n_fermion_modes) + triangle(self.n_antifermion_modes) + boson
+        """Largest harmonic resolution any representable state can carry: every qubit set."""
+        return sum(k for k, _ in _qubit_weights(QubitLayout(self)))
 
 
 @dataclass(frozen=True)
@@ -106,83 +105,63 @@ def q_of(state: FockState) -> int:
     return sum(state.fermions) - sum(state.antifermions)
 
 
+# The species in register order, each with the Q that one of its quanta carries.
+_Q_SIGN = {"fermion": 1, "antifermion": -1, "boson": 0}
+
+
 class QubitLayout:
-    """Fixed register map: fermion modes | antifermion modes | boson blocks."""
+    """Fixed register map: each species' modes as (first qubit, width) blocks.
+
+    ``blocks[species]`` holds the blocks of modes 1, 2, ... for fermions, antifermions
+    and bosons, in that register order.  A fermion or antifermion mode is a one-qubit
+    block; a boson block holds its mode's occupancy in big-endian binary.  So species
+    differ only in block width and in the Q sign of a quantum (+1, -1 or 0).
+    """
 
     def __init__(self, config: ModeConfig):
         self.config = config
-        self.boson_widths = tuple((m + 1).bit_length() - 1 for m in config.boson_modals)
-        starts = []
-        pos = config.n_fermion_modes + config.n_antifermion_modes
-        for w in self.boson_widths:
-            starts.append(pos)
-            pos += w
-        self.boson_starts = tuple(starts)
+        widths = (
+            (1,) * config.n_fermion_modes,
+            (1,) * config.n_antifermion_modes,
+            tuple((m + 1).bit_length() - 1 for m in config.boson_modals),
+        )
+        self.blocks, pos = {}, 0
+        for species, ws in zip(_Q_SIGN, widths):
+            self.blocks[species] = tuple(zip(accumulate(ws, initial=pos), ws))
+            pos += sum(ws)
         self.total_qubits = pos
 
-    def fermion_qubit(self, mode: int) -> int:
-        if not 1 <= mode <= self.config.n_fermion_modes:
-            raise ValueError(f"fermion mode {mode} out of range")
-        return mode - 1
-
-    def antifermion_qubit(self, mode: int) -> int:
-        if not 1 <= mode <= self.config.n_antifermion_modes:
-            raise ValueError(f"antifermion mode {mode} out of range")
-        return self.config.n_fermion_modes + mode - 1
-
-    def boson_block(self, mode: int) -> tuple[int, int]:
-        """(first qubit, width) of the mode's occupancy block."""
-        if not 1 <= mode <= self.config.n_boson_modes:
-            raise ValueError(f"boson mode {mode} out of range")
-        return self.boson_starts[mode - 1], self.boson_widths[mode - 1]
+    def block(self, species: str, mode: int) -> tuple[int, int]:
+        """(first qubit, width) of the species' mode, mode 1 first."""
+        if species not in self.blocks:
+            raise ValueError(f"unknown species {species!r}")
+        if not 1 <= mode <= len(self.blocks[species]):
+            raise ValueError(f"{species} mode {mode} out of range")
+        return self.blocks[species][mode - 1]
 
     # -- encoding ----------------------------------------------------------
 
-    def _bit(self, qubit: int) -> int:
-        return 1 << (self.total_qubits - 1 - qubit)
-
     def encode(self, state: FockState) -> int:
-        cfg = self.config
-        if (
-            len(state.fermions) != cfg.n_fermion_modes
-            or len(state.antifermions) != cfg.n_antifermion_modes
-            or len(state.bosons) != cfg.n_boson_modes
-        ):
+        occupancies = (state.fermions, state.antifermions, state.bosons)
+        if list(map(len, occupancies)) != list(map(len, self.blocks.values())):
             raise ValueError("state does not match the layout's mode counts")
         index = 0
-        for mode, occ in enumerate(state.fermions, start=1):
-            if occ:
-                index |= self._bit(self.fermion_qubit(mode))
-        for mode, occ in enumerate(state.antifermions, start=1):
-            if occ:
-                index |= self._bit(self.antifermion_qubit(mode))
-        for mode, occ in enumerate(state.bosons, start=1):
-            start, width = self.boson_block(mode)
-            if occ > cfg.boson_modals[mode - 1]:
-                raise ValueError(
-                    f"boson mode {mode} occupancy {occ} exceeds modal cap "
-                    f"{cfg.boson_modals[mode - 1]}"
-                )
-            index |= occ << (self.total_qubits - start - width)
+        for (species, blocks), occs in zip(self.blocks.items(), occupancies):
+            for mode, ((start, width), occ) in enumerate(zip(blocks, occs), start=1):
+                if occ >> width:
+                    raise ValueError(f"{species} mode {mode} occupancy {occ} exceeds "
+                                     f"modal cap {(1 << width) - 1}")
+                index |= occ << (self.total_qubits - start - width)
         return index
 
     def decode(self, index: int) -> FockState:
-        if not 0 <= index < (1 << self.total_qubits):
-            raise ValueError(f"index {index} outside the {self.total_qubits}-qubit register")
-        cfg = self.config
-        fermions = tuple(
-            (index >> (self.total_qubits - 1 - self.fermion_qubit(n))) & 1
-            for n in range(1, cfg.n_fermion_modes + 1)
-        )
-        antifermions = tuple(
-            (index >> (self.total_qubits - 1 - self.antifermion_qubit(n))) & 1
-            for n in range(1, cfg.n_antifermion_modes + 1)
-        )
-        bosons = []
-        for n in range(1, cfg.n_boson_modes + 1):
-            start, width = self.boson_block(n)
-            bosons.append((index >> (self.total_qubits - start - width)) & ((1 << width) - 1))
-        return FockState(fermions, antifermions, tuple(bosons))
+        n = self.total_qubits
+        if not 0 <= index < (1 << n):
+            raise ValueError(f"index {index} outside the {n}-qubit register")
+        return FockState(*(
+            tuple((index >> (n - start - width)) & ((1 << width) - 1) for start, width in blocks)
+            for blocks in self.blocks.values()
+        ))
 
     # -- text rendering ----------------------------------------------------
 
@@ -193,14 +172,10 @@ class QubitLayout:
         for a fermion in mode 2 at three modes per species and 3 modals.
         """
         bits = format(index, f"0{self.total_qubits}b")
-        cfg = self.config
-        groups = [bits[: cfg.n_fermion_modes]]
-        pos = cfg.n_fermion_modes
-        groups.append(bits[pos : pos + cfg.n_antifermion_modes])
-        pos += cfg.n_antifermion_modes
-        for w in self.boson_widths:
-            groups.append(bits[pos : pos + w])
-            pos += w
+        groups = []
+        for species, blocks in self.blocks.items():
+            cut = [bits[start : start + width] for start, width in blocks]
+            groups += ["".join(cut)] if _Q_SIGN[species] else cut  # one group per fermionic species
         return " ".join(groups)
 
     def parse_bits(self, text: str) -> int:
@@ -220,13 +195,13 @@ class QubitLayout:
 def _qubit_weights(layout: QubitLayout) -> list[tuple[int, int]]:
     """(K, Q) weight of each qubit, in register order; a state's charges sum its set qubits'.
 
-    A fermion qubit of mode m weighs (m, 1), an antifermion qubit (m, -1) and qubit j
-    of mode m's w-qubit boson block (m * 2**(w-1-j), 0).
+    Qubit j of mode m's w-qubit block weighs (m * 2**(w-1-j), the species' Q sign), so a
+    fermion qubit of mode m weighs (m, 1) and an antifermion qubit (m, -1).
     """
-    nf, na = layout.config.n_fermion_modes, layout.config.n_antifermion_modes
-    weights = [(m, 1) for m in range(1, nf + 1)] + [(m, -1) for m in range(1, na + 1)]
-    for mode, width in enumerate(layout.boson_widths, start=1):
-        weights += [(mode << (width - 1 - j), 0) for j in range(width)]
+    weights = []
+    for species, blocks in layout.blocks.items():
+        for mode, (_, width) in enumerate(blocks, start=1):
+            weights += [(mode << (width - 1 - j), _Q_SIGN[species]) for j in range(width)]
     return weights
 
 
@@ -301,7 +276,7 @@ def charges(layout: QubitLayout, indices) -> tuple[np.ndarray, np.ndarray]:
     bit-plane of the K weights, and Q counts the fermion bits minus the antifermion bits.
     """
     k_weights, q_weights = zip(*_qubit_weights(layout))
-    mask = lambda qubits: sum(layout._bit(i) for i in qubits)
+    mask = lambda qubits: sum(1 << (layout.total_qubits - 1 - i) for i in qubits)
     idx = np.asarray(indices, dtype=np.int64)
     popcount = lambda m: np.bitwise_count(idx & m).astype(np.int64)
     k = sum(

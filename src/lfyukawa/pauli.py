@@ -515,21 +515,19 @@ def fermion_ladder(
 ) -> PauliSum:
     """Jordan-Wigner ladder operator for a fermion or antifermion mode.
 
+    The mode's qubit is its one-qubit block, ``layout.block(species, mode)``.
     Creation is a Z string over every fermionic qubit preceding the target in
     register order times sigma_minus (occupied = |1>).  With
     ``cross_species_string`` the string of an antifermion operator also spans
     all fermion qubits, making the two species mutually anticommute; without
-    it each species carries an independent string and they commute.
+    it the string starts at the species' mode 1, so each species carries an
+    independent string and they commute.
     """
-    n = layout.total_qubits
-    if species == "fermion":
-        q = layout.fermion_qubit(mode)
-        string_start = 0
-    elif species == "antifermion":
-        q = layout.antifermion_qubit(mode)
-        string_start = 0 if cross_species_string else layout.config.n_fermion_modes
-    else:
+    if species not in ("fermion", "antifermion"):
         raise ValueError(f"unknown species {species!r}")
+    n = layout.total_qubits
+    q, _ = layout.block(species, mode)
+    string_start = 0 if cross_species_string else layout.block(species, 1)[0]
     # qubits string_start .. q-1 are bits n-1-string_start down to n-q
     string = (1 << (n - string_start)) - (1 << (n - q))
     return _half_pair(n, q, True, -1.0 if dagger else 1.0, string)
@@ -571,7 +569,7 @@ def boson_ladder(mode: int, dagger: bool, layout: QubitLayout) -> PauliSum:
     a_dagger |m> = 0 at the modal cap.
     """
     n = layout.total_qubits
-    start, width = layout.boson_block(mode)
+    start, _ = layout.block("boson", mode)
     modals = layout.config.boson_modals[mode - 1]
     total = PauliSum.zero(n)
     for coeff, factors in boson_occupancy_raisers(modals):

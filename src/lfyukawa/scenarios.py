@@ -185,10 +185,16 @@ class ScenarioConfig:
     cross_species_string: bool
 
     def echo(self) -> dict:
-        """Each key of _KEYS that the run holds a value for, boson_modals, g and the tolerances."""
+        """Each key of _KEYS that the run holds a value for, boson_modals, g and the tolerances.
+
+        An n_values run sets its species counts per register, so it leaves them out.
+        """
         values = {**asdict(self), **asdict(self.mode_config), **asdict(self.params),
                   "g": self.params.g, "tolerances": dict(_TOLERANCES)}
         values["evolution"] = {key: values[key] for key in _EVOLUTION}
+        if self.n_values is not None:
+            for key in _SPECIES_COUNTS:
+                del values[key]
         return {key: list(values[key]) if isinstance(values[key], tuple) else values[key]
                 for key in (*_KEYS, "boson_modals", "g", "tolerances") if values.get(key) is not None}
 
@@ -354,6 +360,7 @@ _KEYS = {
     "cross_species_string": _Key(True, _boolean),
 }
 _KNOWN_KEYS = set(_KEYS)
+_SPECIES_COUNTS = ("n_fermion_modes", "n_antifermion_modes", "n_boson_modes")
 _EVOLUTION_KEYS = set(_EVOLUTION)
 
 
@@ -384,6 +391,9 @@ def parse_config(text: str) -> ScenarioConfig:
             value = {**merged.get(key, {}), **value}
         merged[key] = value
     v = _read(_KEYS, merged)
+    if v["n_values"] is not None:  # n_values sets every register's mode counts
+        for key in ("n_modes", *_SPECIES_COUNTS):
+            _require(key not in doc, key, "cannot be given beside n_values, which sets the mode counts")
     nb = v["n_boson_modes"]
     cfg = ScenarioConfig(
         mode_config=ModeConfig(v["n_fermion_modes"], v["n_antifermion_modes"], nb, (v["modals"],) * nb),

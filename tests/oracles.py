@@ -550,7 +550,7 @@ _FACTORS = {"I+": proj0, "I-": proj1, "s+": sigma_plus, "s-": sigma_minus}
 def boson_ladder_reference(mode: int, dagger: bool, layout):
     """The binary-encoded boson ladder: each word's factors multiplied in, words added up."""
     n = layout.total_qubits
-    start, _ = layout.boson_block(mode)
+    start, _ = layout.block("boson", mode)
     total = PauliSum.zero(n)
     for coeff, factors in boson_occupancy_raisers(layout.config.boson_modals[mode - 1]):
         term = PauliSum.identity(n, coeff)

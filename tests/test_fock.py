@@ -44,6 +44,10 @@ def test_encode_reference_bitstrings():
     assert layout.format_bits(layout.encode(vac)) == "000 000 00 00 00"
     three = FockState((0, 0, 0), (0, 0, 0), (3, 0, 0))
     assert layout.format_bits(layout.encode(three)) == "000 000 11 00 00"
+    # mixed block widths: the fermionic species render as one group each, every boson block as its own
+    mixed = QubitLayout(ModeConfig(2, 1, 2, (7, 1)))
+    state = FockState((0, 1), (0,), (3, 1))
+    assert mixed.encode(state) == 39 and mixed.format_bits(39) == "01 0 011 1"
 
 
 def test_boson_occupancy_big_endian():
@@ -66,9 +70,27 @@ def test_decode_reference_state():
 
 
 def test_encode_decode_roundtrip_exhaustive():
-    layout = QubitLayout(ModeConfig.uniform(3, 3))
-    for index in range(1 << layout.total_qubits):
-        assert layout.encode(layout.decode(index)) == index
+    # uniform, then boson blocks of mixed widths, one of them a single qubit
+    for config in (ModeConfig.uniform(3, 3), ModeConfig(2, 3, 2, (7, 1)), ModeConfig(1, 2, 3, (1, 3, 7))):
+        layout = QubitLayout(config)
+        for index in range(1 << layout.total_qubits):
+            assert layout.encode(layout.decode(index)) == index
+
+
+def test_block_table_and_lookup():
+    layout = QubitLayout(ModeConfig(2, 1, 2, (7, 1)))
+    assert layout.blocks == {
+        "fermion": ((0, 1), (1, 1)),
+        "antifermion": ((2, 1),),
+        "boson": ((3, 3), (6, 1)),
+    }
+    assert layout.block("antifermion", 1) == (2, 1) and layout.block("boson", 2) == (6, 1)
+    for species, n in (("fermion", 2), ("antifermion", 1), ("boson", 2)):
+        for mode in (0, n + 1):
+            with pytest.raises(ValueError, match=f"^{species} mode {mode} out of range"):
+                layout.block(species, mode)
+    with pytest.raises(ValueError, match="unknown species"):
+        layout.block("quark", 1)
 
 
 def test_charges_reference_values():

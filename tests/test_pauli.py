@@ -328,6 +328,8 @@ def test_bosons_commute_with_fermions(layout):
     a1 = boson_ladder(1, False, layout)
     bd2 = fermion_ladder("fermion", 2, True, layout)
     assert len(commutator_reference(a1, bd2).prune(1e-10)) == 0
+    with pytest.raises(ValueError):  # a boson mode has no Jordan-Wigner ladder
+        fermion_ladder("boson", 1, True, layout)
 
 
 def test_ladder_builders_pin_their_letters_and_coefficient_bits(layout):

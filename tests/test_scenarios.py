@@ -309,6 +309,8 @@ def test_nmax_study_small(tmp_path):
     assert len(records) == 2
     assert csv_text.splitlines()[0].startswith("n_max,lambda,state,")
     assert manifest["qubits"] == [8, 12]  # one width per register, in n_values order
+    # n_values set the species counts, so the echo leaves out those of the default register
+    assert not {"n_fermion_modes", "n_antifermion_modes", "n_boson_modes"} & set(manifest["config"])
     # the two-level sector is saturated already at two modes: same survival
     assert records[0].survival == pytest.approx(records[1].survival, abs=5e-3)
 
@@ -438,6 +440,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad.write_text('{"scenario": "rabi", "fermion_mass": -2}')
     assert main(["run", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+    # n_values sets the mode counts of every register, so a document may not give them beside it
+    for doc, key in (({"scenario": "rabi", "n_values": [2, 3], "n_fermion_modes": 1}, "n_fermion_modes"),
+                     ({"scenario": "nmax-study", "n_modes": 5}, "n_modes")):
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == 2
+        assert f"config error: {key}: cannot be given beside n_values" in capsys.readouterr().err
 
     assert main(["run", str(tmp_path / "missing.json")]) == 2
 
