@@ -176,6 +176,7 @@ def make_plan(h: PauliSum, t: float, n_steps: int, order: int = 1) -> TrotterPla
 _BLOCK_QUBIT_CAP = 8
 _SIG_MASK_CAP = 6
 _UNITARY_BYTES_CAP = 16 << 20  # per block: S signatures x C cosets x D*D entries x 16 bytes
+_TABLE_ROTATIONS = 256  # rotations per batch of _compose's tables, C*D <= 256 phases each
 
 
 def _parity_checks(flips, n: int) -> tuple[int, ...]:
@@ -247,12 +248,16 @@ def _compile_plan(plan: TrotterPlan) -> list:
     return segments
 
 
+_PARITY_PHASE = I_POWERS[0] * (1.0 - 2.0 * np.arange(2, dtype=np.int8))  # _term_phase(., 0, z)
+
+
 def _compile_diag(run: list, n: int):
     idx = _index_array(n)
     factor = np.ones(1 << n, dtype=complex)
     for _, z, angle in run:
+        # the rotation takes one of two values, by the parity of the index under z
         c, s = math.cos(angle), math.sin(angle)
-        factor *= c - 1j * s * _term_phase(idx, 0, z)
+        factor *= (c - 1j * s * _PARITY_PHASE)[np.bitwise_count(idx & z) & 1]
     return ("diag", factor)
 
 
@@ -269,35 +274,19 @@ def _spread_offsets(positions: list[int], n: int) -> np.ndarray:
 def _compile_block(run: list, n: int, union: int, checks):
     support = _flip_positions(union, n)
     f = len(support)
-
-    def localize(mask: int) -> int:
-        loc = 0
-        for i, q in enumerate(support):
-            if mask & (1 << (n - 1 - q)):
-                loc |= 1 << (f - 1 - i)
-        return loc
-
-    support_mask = 0
-    for q in support:
-        support_mask |= 1 << (n - 1 - q)
-    out_masks: list[int] = []
-    compiled_rots = []
-    for x, z, angle in run:
-        z_out = z & ~support_mask
-        if z_out:
-            if z_out not in out_masks:
-                out_masks.append(z_out)
-            w_pos = out_masks.index(z_out)
-        else:
-            w_pos = -1
-        eta = I_POWERS[(x & z).bit_count() & 3]
-        compiled_rots.append((localize(x), localize(z & support_mask), eta, angle, w_pos))
+    out_masks: dict[int, int] = {}  # Z letters outside the support -> their signature bit
+    outside = [z & ~union for _, z, _ in run]
+    w_pos = [out_masks.setdefault(z_out, len(out_masks)) if z_out else -1 for z_out in outside]
     if len(out_masks) > _SIG_MASK_CAP:
         return ("rots", run)
+    # each flip and Z mask localized: bit n-1-q of the register is bit f-1-i, q = support[i]
+    xz = np.array([(x, z) for x, z, _ in run], dtype=np.int64)
+    bits = xz[:, :, None] >> np.array([n - 1 - q for q in support]) & 1
+    flips, zls = (bits << np.arange(f - 1, -1, -1)).sum(axis=2).T.tolist()
     # the localized flips span d dimensions over GF(2): the block's unitary only couples
     # patterns in one coset of that span, so it is C = 2^(f-d) blocks of D = 2^d
     coord = {0: 0}  # span element -> its coordinate t over the basis found so far
-    for xl, *_ in compiled_rots:
+    for xl in flips:
         if xl not in coord:
             coord |= {v ^ xl: t | len(coord) for v, t in coord.items()}
     span = np.array(sorted(coord, key=coord.get), dtype=np.int64)
@@ -310,7 +299,7 @@ def _compile_block(run: list, n: int, union: int, checks):
     sup_off = _spread_offsets(list(support), n)[local]
     rest_off = _spread_offsets(rest, n)
     # signature of each non-support pattern: one parity bit per distinct z_out mask
-    sig = _syndromes(rest_off, out_masks)
+    sig = _syndromes(rest_off, list(out_masks))
     # the plan's syndrome of an index is that of its support part, the same for a whole
     # coset, XOR that of its rest part: sorted by both, the columns of one syndrome in a
     # group of cosets and a signature slice form a pair of contiguous ranges
@@ -327,19 +316,15 @@ def _compile_block(run: list, n: int, union: int, checks):
     n_cos, dim = local.shape
     if len(present) * n_cos * dim * dim * 16 > _UNITARY_BYTES_CAP:
         return ("rots", run)
-    # one (C, D, D) stack per signature, composed by the dense per-rotation update so that
-    # each stored entry rounds like its dense counterpart; signature bit w_pos set runs a
-    # rotation at -angle, and column -1 (w_pos = -1, no outside Z letters) is all zeros
-    flip = (present[:, None] >> np.arange(len(out_masks) + 1)) & 1
-    u = np.tile(np.eye(dim, dtype=complex), (len(present), n_cos, 1, 1))
-    tidx = np.arange(dim)
-    for xl, zl, eta, angle, w_pos in compiled_rots:
-        trig = np.array([(math.cos(a), math.sin(a)) for a in (angle, -angle)])
-        c, sn = trig[flip[:, w_pos]].T[:, :, None, None, None]
-        phase = eta * (1.0 - 2.0 * (np.bitwise_count(local & zl) & 1).astype(np.int8))
-        pu = (phase[:, :, None] * u)[:, :, tidx ^ coord[xl]]
-        u = c * u - 1j * sn * pu
-    u = u[:, by_coset]
+    # one (C, D, D) stack per signature, composed rotation by rotation so that each stored
+    # entry rounds like the dense update's; signature bit w_pos set runs a rotation at
+    # -angle, and column -1 (w_pos = -1, no outside Z letters) is all zeros
+    signs = (present[:, None] >> np.arange(len(out_masks) + 1)) & 1
+    rots = [
+        (coord[xl], zl, I_POWERS[(x & z).bit_count() & 3], angle, w)
+        for xl, zl, (x, z, angle), w in zip(flips, zls, run, w_pos)
+    ]
+    u = _compose(rots, local, signs)[:, by_coset]
     # per signature slice, its stack and the (rest syndrome, first, end) of each column range
     slices = []
     for lo, hi, u_sig in zip(bounds, bounds[1:], u):
@@ -347,6 +332,47 @@ def _compile_block(run: list, n: int, union: int, checks):
         firsts = (firsts + lo).tolist()
         slices.append((tuple(zip(rest_syns.tolist(), firsts, firsts[1:] + [hi])), u_sig))
     return ("blk", sup_off, rest_off, groups, slices)
+
+
+def _compose(rots: list, local: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The (S, C, D, D) stack of a block's ordered rotations, one (C, D, D) per signature.
+
+    ``rots`` holds (k, zl, eta, angle, w_pos) per rotation: k the span coordinate of its
+    localized flip, zl its localized Z letters, eta its Y phase; it runs at -angle where
+    ``signs[s, w_pos]`` is set.  ``local[c, t]`` is the pattern of coset c at coordinate t.
+    Each rotation is the dense update u <- c*u - (i*sin)*(phase*u)[t ^ k] on the rows t,
+    every product formed and rounded as written, so each entry has the bits of the
+    allocating form kept as the tests' ``compose_reference``.  XOR by k flips bits of t:
+    with the row axis split into d axes of size 2, the rows t ^ k are a view of u flipped
+    on the axes of k's bits, and the update runs in four in-place passes over it.
+    """
+    n_cos, dim = local.shape
+    d = dim.bit_length() - 1
+    u = np.tile(np.eye(dim, dtype=complex), (len(signs), n_cos, 1, 1))
+    buf = np.empty_like(u)
+    split = (2,) * d  # bit d-1-a of a row t on axis a of the split row axis
+    u_bits, buf_bits = (a.reshape(a.shape[:2] + split + (dim,)) for a in (u, buf))
+    flipped: dict[int, np.ndarray] = {}
+    for lo in range(0, len(rots), _TABLE_ROTATIONS):
+        ks, zls, etas, angles, w_pos = zip(*rots[lo:lo + _TABLE_ROTATIONS])
+        # per rotation and signature the (cos, sin) of +-angle, and per rotation and
+        # coset the phase of the rows t ^ k: row 0 is the coset of pattern 0, so
+        # local[0, k] is the span element of coordinate k
+        trig = [[(math.cos(a), math.sin(a)), (math.cos(-a), math.sin(-a))] for a in angles]
+        cs = np.array(trig)[np.arange(len(ks))[:, None], signs[:, list(w_pos)].T]  # (R, S, 2)
+        c, i_sn = (v[:, :, None, None, None] for v in (cs[..., 0].astype(complex), 1j * cs[..., 1]))
+        at_k = local ^ local[0, list(ks)][:, None, None]
+        par = np.bitwise_count(at_k & np.array(zls)[:, None, None]) & 1
+        phase = np.array(etas)[:, None, None] * (1.0 - 2.0 * par.astype(np.int8))
+        phase = phase.reshape(phase.shape[:2] + split + (1,))
+        for r, k in enumerate(ks):
+            if k not in flipped:
+                flipped[k] = np.flip(u_bits, axis=tuple(1 + d - b for b in range(d) if k >> b & 1))
+            np.multiply(phase[r], flipped[k], out=buf_bits)
+            np.multiply(i_sn[r], buf, out=buf)
+            np.multiply(c[r], u, out=u)
+            np.subtract(u, buf, out=u)
+    return u
 
 
 def _reachable(segment, wanted: set[int]):

@@ -10,7 +10,10 @@ The Trotter reference steps a plan rotation by rotation over the whole
 register, applying each string letter by letter on the register reshaped to
 one axis per qubit.  It shares no code with the package's compiled evaluator
 (its phase vectors, coset blocks or rotation fallback), so agreement checks
-that evaluator's reassociation of the ordered rotation product.
+that evaluator's reassociation of the ordered rotation product.  The block
+reference ``compose_reference`` is the compiler's per-rotation dense update
+as first written, one allocating pass per product and a gathered row copy;
+the compiler's in-place passes on a flipped view must equal it bit for bit.
 
 The register references ``apply``, ``to_matrix`` and ``expectation`` read each
 term of a Pauli sum through its public letters and build the string's action
@@ -316,6 +319,27 @@ def trotter_reference(plan, psi0: np.ndarray) -> np.ndarray:
             psi = math.cos(angle) * psi - (1j * math.sin(angle)) * _apply_string(psi, x, z)
         psi = psi * plan.step_phase
     return psi.reshape(-1)
+
+
+def compose_reference(rots, local: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """A block's (S, C, D, D) stack by the dense per-rotation update, the reference for
+    ``evolve._compose`` (same arguments), which must match it bit for bit.
+
+    Per rotation (k, zl, eta, angle, w_pos) and signature s, at -angle where
+    ``signs[s, w_pos]`` is set: u <- c*u - (i*sin)*(phase*u)[t ^ k] on the rows t of
+    each coset c, with phase[c, t] = eta * (-1)**parity(local[c, t] & zl).  Each product
+    is formed and rounded as written, with a gathered copy of the rows.
+    """
+    n_cos, dim = local.shape
+    u = np.tile(np.eye(dim, dtype=complex), (len(signs), n_cos, 1, 1))
+    tidx = np.arange(dim)
+    for k, zl, eta, angle, w_pos in rots:
+        trig = np.array([(math.cos(a), math.sin(a)) for a in (angle, -angle)])
+        c, sn = trig[signs[:, w_pos]].T[:, :, None, None, None]
+        phase = eta * (1.0 - 2.0 * (np.bitwise_count(local & zl) & 1).astype(np.int8))
+        pu = (phase[:, :, None] * u)[:, :, tidx ^ k]
+        u = c * u - 1j * sn * pu
+    return u
 
 
 MATRIX_QUBIT_CAP = 14

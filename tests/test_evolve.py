@@ -1,6 +1,8 @@
 import json
+import math
+from dataclasses import replace
 from functools import lru_cache, reduce
-from operator import xor
+from operator import or_, xor
 
 import numpy as np
 import pytest
@@ -8,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lfyukawa import scenarios
+from lfyukawa import evolve, scenarios
 from lfyukawa.diagnostics import leakage
 from lfyukawa.evolve import (
+    _compile_block,
     _compile_plan,
     _parity_checks,
     _reachable,
     _syndromes,
+    _term_phase,
     exact_evolve,
     make_plan,
     plan_cost,
@@ -31,7 +35,13 @@ from lfyukawa.pauli import (
     subspace_matrix,
 )
 
-from oracles import FockOracle, charge_reference, rabi_transition, trotter_reference
+from oracles import (
+    FockOracle,
+    charge_reference,
+    compose_reference,
+    rabi_transition,
+    trotter_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -488,6 +498,80 @@ def test_blocked_handles_a_string_wider_than_a_block():
         a = trotter_reference(plan, psi0)
         b = trotter_evolve(plan, psi0)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def _assert_compiled_like_the_dense_update(compile_segments):
+    """The segments compile_segments() returns equal those composed by compose_reference:
+    same layout, and every stored stack the same bits, signed zeros too."""
+    got = compile_segments()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_compose", compose_reference)
+        want = compile_segments()
+    assert [s[0] for s in got] == [s[0] for s in want]
+    for a, b in zip(got, want):
+        if a[0] == "blk":
+            (_, sup_a, rest_a, groups_a, slices_a), (_, sup_b, rest_b, groups_b, slices_b) = a, b
+            assert np.array_equal(sup_a, sup_b) and np.array_equal(rest_a, rest_b)
+            assert groups_a == groups_b and [r for r, _ in slices_a] == [r for r, _ in slices_b]
+            for (_, u_a), (_, u_b) in zip(slices_a, slices_b):
+                assert np.array_equal(u_a.view(np.uint64), u_b.view(np.uint64))
+        elif a[0] == "rots":
+            assert a == b
+
+
+def _coupling_sweep_plan(coupling: float, order: int):
+    cfg = scenarios.parse_config(json.dumps({"scenario": "coupling-sweep"}))
+    [(_, config)] = cfg.registers()
+    params = replace(cfg.params, coupling=coupling)
+    h = build_h(config, params, QubitLayout(config), cfg.parts, cfg.cross_species_string)
+    return make_plan(h, cfg.t_max, cfg.n_steps, order)
+
+
+@pytest.mark.parametrize("coupling, order", [(1.0, 1), (1.0, 2), (5.0, 1), (5.0, 2)])
+def test_coupling_sweep_blocks_compose_like_the_dense_update(coupling, order):
+    plan = _coupling_sweep_plan(coupling, order)
+    _assert_compiled_like_the_dense_update(lambda: _compile_plan(plan))
+
+
+def test_diagonal_factor_is_the_product_of_term_phases():
+    # each diagonal rotation takes one of two values by the parity of the index under z;
+    # looked up per index they must multiply to the bits of the per-index phase product
+    plan = _coupling_sweep_plan(5.0, 1)
+    n = plan.n_qubits
+    idx = np.arange(1 << n)
+    diags = [s[1] for s in _compile_plan(plan) if s[0] == "diag"]
+    want = np.ones(1 << n, dtype=complex)
+    for x, z, angle in plan.rotations:
+        if x == 0:
+            want *= math.cos(angle) - 1j * math.sin(angle) * _term_phase(idx, 0, z)
+    assert len(diags) == 1 and np.array_equal(diags[0].view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), n_more=st.integers(0, 16))
+def test_random_blocks_compose_like_the_dense_update(data, n, n_more):
+    # the run flips each of d <= 6 independent base masks on f <= 8 qubits (base mask i
+    # alone holds pivot qubit i), then XORs of them, so its flips span d dimensions; the
+    # Z letters off the flipped qubits are none (w_pos = -1) or one of two masks, so up
+    # to 4 signatures; Z letters on the flipped qubits make odd-Y strings (eta = +-i);
+    # angles past pi/2 give cos < 0
+    d = data.draw(st.integers(1, min(n, 6)), label="d")
+    f = data.draw(st.integers(d, min(n, 8)), label="f")
+    qubits = data.draw(st.permutations(range(n)), label="qubits")[:f]
+    free = sum(1 << q for q in qubits[d:])
+    base = [1 << q | data.draw(st.integers(0, free), label="base") & free for q in qubits[:d]]
+    union = reduce(or_, base)
+    masks = st.integers(0, (1 << n) - 1).map(lambda m: m & ~union)
+    outside = data.draw(st.lists(masks, min_size=2, max_size=2), label="outside")
+    combos = st.lists(st.sampled_from(base), min_size=1, max_size=3).map(lambda p: reduce(xor, p))
+    angles = st.floats(-4.0, 4.0) | st.sampled_from([0.0, math.pi / 2, -math.pi, math.pi])
+    run = []
+    for x in base + data.draw(st.lists(combos.filter(bool), max_size=n_more), label="more"):
+        z_in = data.draw(st.integers(0, union), label="z") & union
+        z_out = data.draw(st.sampled_from([0, *outside]), label="z out")
+        run.append((x, z_in | z_out, data.draw(angles, label="angle")))
+    checks = _parity_checks({x for x, _, _ in run}, n)
+    _assert_compiled_like_the_dense_update(lambda: [_compile_block(run, n, union, checks)])
 
 
 def test_trotter_transition_converges_to_exact(two_level):
