@@ -6,7 +6,9 @@ strings first, then flip-pattern-grouped strings) and ``trotter_evolve`` steps
 one compiled form of it: consecutive rotations flipping the same few qubits are
 composed into small unitaries on them.  Such a unitary only couples bit patterns
 that differ by a XOR of its flip masks, so it is stored as one block per coset
-of their GF(2) span.  No rotation leaves a coset ``psi0 ^ S`` of the span S of
+of their GF(2) span, and composed only on the part of that span its rotations
+have reached so far; a run of diagonal rotations is likewise fused on the low
+bits its Z masks have reached, then tiled to the register.  No rotation leaves a coset ``psi0 ^ S`` of the span S of
 all the plan's flips, told apart by the parity checks of S, so the blocks only
 touch the columns on the cosets the start's nonzero amplitudes occupy; the rest
 of the register stays exactly zero.  This keeps 20-qubit runs tractable
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -252,13 +255,20 @@ _PARITY_PHASE = I_POWERS[0] * (1.0 - 2.0 * np.arange(2, dtype=np.int8))  # _term
 
 
 def _compile_diag(run: list, n: int):
-    idx = _index_array(n)
-    factor = np.ones(1 << n, dtype=complex)
+    """One phase vector for a run of diagonal rotations, each factor c - i*s*(+-1) by
+    the parity of the index under z.  A factor only reads the bits of z, so the vector
+    is held on the low b bits, b the widest z so far, tiled up as b grows and to the
+    whole register at the end: every index gets the products of the full-length form."""
+    factor = np.ones(1, dtype=complex)
+    idx = np.zeros(1, dtype=np.int64)
     for _, z, angle in run:
+        if z >= factor.size:
+            factor = np.tile(factor, (1 << z.bit_length()) // factor.size)
+            idx = np.arange(factor.size, dtype=np.int64)
         # the rotation takes one of two values, by the parity of the index under z
         c, s = math.cos(angle), math.sin(angle)
         factor *= (c - 1j * s * _PARITY_PHASE)[np.bitwise_count(idx & z) & 1]
-    return ("diag", factor)
+    return ("diag", np.tile(factor, (1 << n) // factor.size))
 
 
 def _spread_offsets(positions: list[int], n: int) -> np.ndarray:
@@ -342,37 +352,70 @@ def _compose(rots: list, local: np.ndarray, signs: np.ndarray) -> np.ndarray:
     ``signs[s, w_pos]`` is set.  ``local[c, t]`` is the pattern of coset c at coordinate t.
     Each rotation is the dense update u <- c*u - (i*sin)*(phase*u)[t ^ k] on the rows t,
     every product formed and rounded as written, so each entry has the bits of the
-    allocating form kept as the tests' ``compose_reference``.  XOR by k flips bits of t:
-    with the row axis split into d axes of size 2, the rows t ^ k are a view of u flipped
-    on the axes of k's bits, and the update runs in four in-place passes over it.
+    allocating form kept as the tests' ``compose_reference``.
+
+    The span coordinates number the basis flips in the order they first appear, so while
+    the flips seen so far span m dimensions every k is below 2^m and u only couples rows
+    and columns that agree above bit m: it is held as w[s, c, a, j] = u[j >> m << m | a, j]
+    and widened (each sub-block on the diagonal of the new bits) when a k reaches 2^m.
+    The entries left out are exact +0, as the dense update keeps them while c > 0; from
+    a rotation with a cosine <= 0 on, where c*(+0) - (+0) gives -0, w spans all d bits.
+    XOR by k flips bits of a: with the rows split into m axes of size 2, the rows a ^ k
+    are a view of w flipped on the axes of k's bits, and the update runs in four in-place
+    passes over it.
     """
     n_cos, dim = local.shape
     d = dim.bit_length() - 1
-    u = np.tile(np.eye(dim, dtype=complex), (len(signs), n_cos, 1, 1))
-    buf = np.empty_like(u)
-    split = (2,) * d  # bit d-1-a of a row t on axis a of the split row axis
-    u_bits, buf_bits = (a.reshape(a.shape[:2] + split + (dim,)) for a in (u, buf))
-    flipped: dict[int, np.ndarray] = {}
-    for lo in range(0, len(rots), _TABLE_ROTATIONS):
-        ks, zls, etas, angles, w_pos = zip(*rots[lo:lo + _TABLE_ROTATIONS])
-        # per rotation and signature the (cos, sin) of +-angle, and per rotation and
-        # coset the phase of the rows t ^ k: row 0 is the coset of pattern 0, so
-        # local[0, k] is the span element of coordinate k
-        trig = [[(math.cos(a), math.sin(a)), (math.cos(-a), math.sin(-a))] for a in angles]
-        cs = np.array(trig)[np.arange(len(ks))[:, None], signs[:, list(w_pos)].T]  # (R, S, 2)
-        c, i_sn = (v[:, :, None, None, None] for v in (cs[..., 0].astype(complex), 1j * cs[..., 1]))
-        at_k = local ^ local[0, list(ks)][:, None, None]
-        par = np.bitwise_count(at_k & np.array(zls)[:, None, None]) & 1
-        phase = np.array(etas)[:, None, None] * (1.0 - 2.0 * par.astype(np.int8))
-        phase = phase.reshape(phase.shape[:2] + split + (1,))
-        for r, k in enumerate(ks):
-            if k not in flipped:
-                flipped[k] = np.flip(u_bits, axis=tuple(1 + d - b for b in range(d) if k >> b & 1))
-            np.multiply(phase[r], flipped[k], out=buf_bits)
-            np.multiply(i_sn[r], buf, out=buf)
-            np.multiply(c[r], u, out=u)
-            np.subtract(u, buf, out=u)
-    return u
+    ks, zls, etas, angles, w_pos = (list(v) for v in zip(*rots))
+    # per rotation and signature the (cos, sin) of +-angle
+    trig = [[(math.cos(a), math.sin(a)), (math.cos(-a), math.sin(-a))] for a in angles]
+    cs = np.array(trig)[np.arange(len(rots))[:, None], signs[:, w_pos].T]  # (R, S, 2)
+    c, i_sn = (v[:, :, None, None, None] for v in (cs[..., 0].astype(complex), 1j * cs[..., 1]))
+    # the span width each rotation runs on: that of the flips so far, all d from the
+    # first cosine <= 0 on
+    c_pos = (cs[..., 0] > 0).all(axis=1).tolist()
+    widths = np.maximum.accumulate([k.bit_length() if p else d for k, p in zip(ks, c_pos)])
+    w = np.ones((len(signs), n_cos, 1, dim), dtype=complex)  # m = 0: the diagonal
+    m = start = 0
+    for m_next, same in groupby(widths.tolist()):
+        end = start + len(list(same))
+        w, m = _widen(w, m, m_next), m_next
+        buf = np.empty_like(w)
+        split = w.shape[:2] + (2,) * m + (dim >> m, 1 << m)  # bit m-1-i of a on axis 2+i
+        w_bits, buf_bits = w.reshape(split), buf.reshape(split)
+        flipped: dict[int, np.ndarray] = {}
+        local_m = local.reshape(n_cos, dim >> m, 1 << m).transpose(0, 2, 1)  # (C, a, j >> m)
+        for lo in range(start, end, _TABLE_ROTATIONS):
+            hi = min(lo + _TABLE_ROTATIONS, end)
+            # per rotation and coset the phase of the rows t ^ k: row 0 is the coset of
+            # pattern 0, so local[0, k] is the span element of coordinate k
+            at_k = local_m ^ local[0, ks[lo:hi]][:, None, None, None]
+            par = np.bitwise_count(at_k & np.array(zls[lo:hi])[:, None, None, None]) & 1
+            phase = np.array(etas[lo:hi])[:, None, None, None] * (1.0 - 2.0 * par.astype(np.int8))
+            phase = phase.reshape(phase.shape[:2] + split[2:-1] + (1,))
+            for r, k in enumerate(ks[lo:hi], lo):
+                if k not in flipped:
+                    flipped[k] = np.flip(w_bits, axis=tuple(1 + m - b for b in range(m) if k >> b & 1))
+                np.multiply(phase[r - lo], flipped[k], out=buf_bits)
+                np.multiply(i_sn[r], buf, out=buf)
+                np.multiply(c[r], w, out=w)
+                np.subtract(w, buf, out=w)
+        start = end
+    return _widen(w, m, d).reshape(len(signs), n_cos, dim, dim)
+
+
+def _widen(w: np.ndarray, m: int, m_new: int) -> np.ndarray:
+    """A stack held on span width m (``_compose``'s w) held on width m_new >= m: row
+    a' = b' << m | a of column j = (j >> m_new, b, j_low) is row a of j where b' = b, else +0."""
+    if m_new == m:
+        return w
+    n_sig, n_cos, rows, dim = w.shape
+    grow = 1 << (m_new - m)
+    out = np.zeros((n_sig, n_cos, grow, rows, dim >> m_new, grow, rows), dtype=complex)
+    src = w.reshape(n_sig, n_cos, rows, dim >> m_new, grow, rows)
+    for b in range(grow):
+        out[:, :, b, :, :, b] = src[:, :, :, :, b]
+    return out.reshape(n_sig, n_cos, grow * rows, dim)
 
 
 def _reachable(segment, wanted: set[int]):

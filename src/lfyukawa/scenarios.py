@@ -138,11 +138,13 @@ MAX_QUBITS = 63
 
 # Peak bytes per register amplitude of a Trotter run: an upper bound on the
 # 96 bytes (peak RSS 1541 MiB) measured for one step at 24 qubits (n_modes 6).
-# One blocked step of the 20-qubit pp-collision plan peaks at 60.4 bytes per
-# amplitude of numpy memory (tracemalloc): 16 the statevector, 41.7 the
-# compiled plan (phase vector, index table, coset unitaries) and 2.7 the step's
-# int64 index, gather and product, each over one piece of the start's
-# reachable cosets rather than the whole register.
+# One blocked step of the 20-qubit pp-collision plan peaks at 54.6 bytes per
+# amplitude of numpy memory (tracemalloc, past the caller's psi0): 16 the
+# statevector, 35.8 the compiled plan (16 its phase vector, 19.8 the coset
+# unitaries and their offsets) and 2.8 the step's int64 index, gather and
+# product, each over one piece of the start's reachable cosets rather than the
+# whole register.  Compiling peaks at 43.1: the phase vector is built on the
+# bits its Z masks reach and tiled, with no 2^n index table.
 _TROTTER_BYTES_PER_AMP = 7 * 16
 
 # Peak bytes a run holds per output record (its metadata and CSV row), per

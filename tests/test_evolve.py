@@ -2,11 +2,12 @@ import json
 import math
 from dataclasses import replace
 from functools import lru_cache, reduce
+from itertools import groupby
 from operator import or_, xor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -533,43 +534,101 @@ def test_coupling_sweep_blocks_compose_like_the_dense_update(coupling, order):
     _assert_compiled_like_the_dense_update(lambda: _compile_plan(plan))
 
 
+def _term_phase_product(run, n: int) -> np.ndarray:
+    """The phase vector of a run of diagonal rotations, each looked up per index."""
+    idx = np.arange(1 << n)
+    want = np.ones(1 << n, dtype=complex)
+    for _, z, angle in run:
+        want *= math.cos(angle) - 1j * math.sin(angle) * _term_phase(idx, 0, z)
+    return want
+
+
 def test_diagonal_factor_is_the_product_of_term_phases():
     # each diagonal rotation takes one of two values by the parity of the index under z;
-    # looked up per index they must multiply to the bits of the per-index phase product
-    plan = _coupling_sweep_plan(5.0, 1)
-    n = plan.n_qubits
-    idx = np.arange(1 << n)
-    diags = [s[1] for s in _compile_plan(plan) if s[0] == "diag"]
-    want = np.ones(1 << n, dtype=complex)
-    for x, z, angle in plan.rotations:
-        if x == 0:
-            want *= math.cos(angle) - 1j * math.sin(angle) * _term_phase(idx, 0, z)
-    assert len(diags) == 1 and np.array_equal(diags[0].view(np.uint64), want.view(np.uint64))
+    # looked up per index they must multiply to the bits of the per-index phase product.
+    # At order 2 the step opens and closes with a diagonal run, the closing one in
+    # descending z, so its phase vector spans the widest z from the first rotation on.
+    for order in (1, 2):
+        plan = _coupling_sweep_plan(5.0, order)
+        runs = [list(g) for diag, g in groupby(plan.rotations, key=lambda r: r[0] == 0) if diag]
+        diags = [s[1] for s in _compile_plan(plan) if s[0] == "diag"]
+        assert len(diags) == len(runs) == order
+        if order == 2:
+            assert [z for _, z, _ in runs[1]] == sorted((z for _, z, _ in runs[1]), reverse=True)
+        for run, diag in zip(runs, diags):
+            want = _term_phase_product(run, plan.n_qubits)
+            assert np.array_equal(diag.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 10), n_more=st.integers(0, 16))
-def test_random_blocks_compose_like_the_dense_update(data, n, n_more):
-    # the run flips each of d <= 6 independent base masks on f <= 8 qubits (base mask i
-    # alone holds pivot qubit i), then XORs of them, so its flips span d dimensions; the
-    # Z letters off the flipped qubits are none (w_pos = -1) or one of two masks, so up
-    # to 4 signatures; Z letters on the flipped qubits make odd-Y strings (eta = +-i);
-    # angles past pi/2 give cos < 0
-    d = data.draw(st.integers(1, min(n, 6)), label="d")
-    f = data.draw(st.integers(d, min(n, 8)), label="f")
-    qubits = data.draw(st.permutations(range(n)), label="qubits")[:f]
+@given(
+    n=st.integers(1, 10),
+    terms=st.lists(st.tuples(st.integers(1, (1 << 10) - 1), st.floats(-4.0, 4.0)),
+                   min_size=1, max_size=8),
+    arrange=st.sampled_from(["as drawn", "ascending", "descending"]),
+)
+def test_diagonal_runs_in_any_order_are_the_product_of_term_phases(n, terms, arrange):
+    # the phase vector grows with the widest z seen so far: a run in descending z spans
+    # its widest z from the start, one in ascending z widens at every new top bit
+    run = [(0, z & ((1 << n) - 1) or 1, angle) for z, angle in terms]
+    if arrange != "as drawn":
+        run.sort(key=lambda r: r[1], reverse=arrange == "descending")
+    kind, factor = evolve._compile_diag(run, n)
+    want = _term_phase_product(run, n)
+    assert kind == "diag" and np.array_equal(factor.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def _flip_runs(draw):
+    """(n, run): a run of flip rotations on n <= 10 qubits whose flips span d <= 6 of them.
+
+    It flips each of d independent base masks on f <= 8 qubits (base mask i alone holds
+    pivot qubit i) and XORs of them, in any order, so new span directions arrive at any
+    point of the run; the Z letters off the flipped qubits are none (w_pos = -1) or one
+    of two masks, so up to 4 signatures; Z letters on the flipped qubits make odd-Y
+    strings (eta = +-i); angles past pi/2 give cos < 0.
+    """
+    n = draw(st.integers(1, 10), label="n")
+    d = draw(st.integers(1, min(n, 6)), label="d")
+    f = draw(st.integers(d, min(n, 8)), label="f")
+    qubits = draw(st.permutations(range(n)), label="qubits")[:f]
     free = sum(1 << q for q in qubits[d:])
-    base = [1 << q | data.draw(st.integers(0, free), label="base") & free for q in qubits[:d]]
+    base = [1 << q | draw(st.integers(0, free), label="base") & free for q in qubits[:d]]
     union = reduce(or_, base)
     masks = st.integers(0, (1 << n) - 1).map(lambda m: m & ~union)
-    outside = data.draw(st.lists(masks, min_size=2, max_size=2), label="outside")
+    outside = draw(st.lists(masks, min_size=2, max_size=2), label="outside")
     combos = st.lists(st.sampled_from(base), min_size=1, max_size=3).map(lambda p: reduce(xor, p))
+    more = draw(st.lists(combos.filter(bool), max_size=16), label="more")
     angles = st.floats(-4.0, 4.0) | st.sampled_from([0.0, math.pi / 2, -math.pi, math.pi])
     run = []
-    for x in base + data.draw(st.lists(combos.filter(bool), max_size=n_more), label="more"):
-        z_in = data.draw(st.integers(0, union), label="z") & union
-        z_out = data.draw(st.sampled_from([0, *outside]), label="z out")
-        run.append((x, z_in | z_out, data.draw(angles, label="angle")))
+    for x in draw(st.permutations(base + more), label="order"):
+        z_in = draw(st.integers(0, union), label="z") & union
+        z_out = draw(st.sampled_from([0, *outside]), label="z out")
+        run.append((x, z_in | z_out, draw(angles, label="angle")))
+    return n, run
+
+
+# _compose holds a block on the span its flips have reached and widens it at each new
+# span direction, and to the whole span at the first cosine <= 0
+@settings(max_examples=60, deadline=None)
+@given(block=_flip_runs())
+# a cosine <= 0 at the first, a middle and the last rotation.  The first two come before
+# the last span direction, which arrives at angle 0, so the entries the dense update
+# turns into -0 stay zeros to the end; the last rotation brings the last direction
+@example(block=(3, [(0b001, 0b100, 2.0), (0b001, 0b010, 0.4), (0b010, 0b100, 0.0)]))
+@example(block=(4, [(0b0001, 0, 0.3), (0b0001, 0b0010, 2.5), (0b0011, 0b1000, 0.0),
+                    (0b0001, 0, -0.4), (0b0100, 0b1000, -0.0)]))
+@example(block=(4, [(0b0001, 0b1000, 0.3), (0b0010, 0, 0.5), (0b0011, 0b0100, 1.1),
+                    (0b0100, 0b0001, -math.pi)]))
+# the basis flips all before any XOR of them, and interleaved with XORs of them
+@example(block=(5, [(0b00001, 0b10000, 0.3), (0b00010, 0, 0.5), (0b00100, 0b00001, -0.7),
+                    (0b00011, 0, 0.2), (0b00110, 0b01000, 1.1), (0b00111, 0b10010, 0.9)]))
+@example(block=(5, [(0b00001, 0b10000, 0.3), (0b00010, 0, 0.5), (0b00011, 0b01001, -0.7),
+                    (0b00100, 0b00001, 0.2), (0b00101, 0b01000, 1.1), (0b00110, 0, 0.9),
+                    (0b01000, 0b10000, 0.4), (0b01011, 0b00100, -1.3)]))
+def test_random_blocks_compose_like_the_dense_update(block):
+    n, run = block
+    union = reduce(or_, (x for x, _, _ in run))
     checks = _parity_checks({x for x, _, _ in run}, n)
     _assert_compiled_like_the_dense_update(lambda: [_compile_block(run, n, union, checks)])
 
