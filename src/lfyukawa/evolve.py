@@ -4,24 +4,26 @@ The Trotter step is an ordered product of single-string rotations
 ``exp(-i * angle * P)``.  The plan fixes a deterministic term order (diagonal
 strings first, then flip-pattern-grouped strings) and ``trotter_evolve`` steps
 one compiled form of it: consecutive rotations flipping the same few qubits are
-composed into small unitaries on them.  Such a unitary only couples bit patterns
-that differ by a XOR of its flip masks, so it is stored as one block per coset
-of their GF(2) span, and composed only on the part of that span its rotations
-have reached so far; a run of diagonal rotations is likewise fused on the low
-bits its Z masks have reached, then tiled to the register.  No rotation leaves a coset ``psi0 ^ S`` of the span S of
-all the plan's flips, told apart by the parity checks of S, so the blocks only
-touch the columns on the cosets the start's nonzero amplitudes occupy; the rest
-of the register stays exactly zero.  This keeps 20-qubit runs tractable
-without changing the operator product; the rotation-by-rotation reference it
-is tested against lives with the test oracles.
+composed into small unitaries on them, split into halves wherever one unitary
+would need too many sign variants or bytes.  Such a unitary only couples bit
+patterns that differ by a XOR of its flip masks, so it is stored as one block
+per coset of their GF(2) span, and composed only on the part of that span its
+rotations have reached so far; a run of diagonal rotations is likewise fused on
+the low bits its Z masks have reached, then tiled to the register.  No rotation
+leaves a coset ``psi0 ^ S`` of the span S of all the plan's flips, told apart by
+the parity checks of S, so the blocks only touch the columns on the cosets the
+start's nonzero amplitudes occupy; the rest of the register stays exactly zero.
+This keeps 20-qubit runs tractable without changing the operator product; the
+rotation-by-rotation reference it is tested against lives with the test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, reduce
 from itertools import groupby
+from operator import or_
 
 import numpy as np
 
@@ -42,37 +44,6 @@ __all__ = [
 
 SECTOR_DIM_CAP = 4096
 NORM_TOL = 1e-9  # largest norm drift a Trotter evolution may show
-
-
-@lru_cache(maxsize=8)
-def _index_array(n_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    idx.setflags(write=False)
-    return idx
-
-
-def _term_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
-    """Per-source-index phase of a unit string: i**nY * (-1)**popcount(i & z)."""
-    eta = I_POWERS[(x & z).bit_count() & 3]
-    if z == 0:
-        return np.full(idx.shape, eta)
-    par = (np.bitwise_count(idx & z) & 1).astype(np.int8)
-    return eta * (1.0 - 2.0 * par)
-
-
-def _rotate(psi: np.ndarray, x: int, z: int, theta: float) -> np.ndarray:
-    """In-place exp(-i*theta*P) on the statevector for the unit string (x, z)."""
-    n = int(psi.size).bit_length() - 1
-    idx = _index_array(n)
-    c, s = math.cos(theta), math.sin(theta)
-    phase = _term_phase(idx, x, z)
-    if x == 0:
-        psi *= c - 1j * s * phase
-    else:
-        g = phase * psi
-        psi *= c
-        psi -= (1j * s) * g[idx ^ x]
-    return psi
 
 
 # -- exact evolution -------------------------------------------------------------
@@ -220,7 +191,8 @@ def _compile_plan(plan: TrotterPlan) -> list:
     into unitaries on those qubits, one block per coset of the span of their
     flip masks; Z letters outside the union only contribute a parity sign per
     non-support pattern and are handled by parity-conditioned variants of the
-    unitary.  Segment evaluation is plain reassociation of the ordered rotation
+    unitary.  A run needing too many variants or bytes compiles as the blocks of
+    its halves.  Segment evaluation is plain reassociation of the ordered rotation
     product, so the result equals the rotation-by-rotation reference up to float
     round-off, and amplitudes that no XOR of flips reaches stay exactly zero in both.
     """
@@ -246,12 +218,12 @@ def _compile_plan(plan: TrotterPlan) -> list:
                 break
             union |= x
             j += 1
-        segments.append(_compile_block(rotations[i:j], n, union, checks))
+        segments.extend(_compile_block(rotations[i:j], n, checks))
         i = j
     return segments
 
 
-_PARITY_PHASE = I_POWERS[0] * (1.0 - 2.0 * np.arange(2, dtype=np.int8))  # _term_phase(., 0, z)
+_PARITY_PHASE = I_POWERS[0] * (1.0 - 2.0 * np.arange(2, dtype=np.int8))
 
 
 def _compile_diag(run: list, n: int):
@@ -281,14 +253,24 @@ def _spread_offsets(positions: list[int], n: int) -> np.ndarray:
     return off
 
 
-def _compile_block(run: list, n: int, union: int, checks):
+def _compile_block(run: list, n: int, checks) -> list:
+    """The coset blocks of a run of flip rotations, on the union of their flips.
+
+    A run whose stacks would pass _SIG_MASK_CAP masks of Z letters outside that union
+    or _UNITARY_BYTES_CAP bytes compiles as the blocks of its two halves, each on its
+    own union, recursively.  A lone rotation always compiles: it has at most one
+    outside mask, so S <= 2 signatures, and its f flipped qubits span one dimension,
+    a stack of S * 2^(f+1) entries with f + S - 1 <= n, at most twice the register.
+    Only a string flipping 19 or more qubits passes the byte cap alone.
+    """
+    union = reduce(or_, (x for x, _, _ in run))
     support = _flip_positions(union, n)
     f = len(support)
     out_masks: dict[int, int] = {}  # Z letters outside the support -> their signature bit
     outside = [z & ~union for _, z, _ in run]
     w_pos = [out_masks.setdefault(z_out, len(out_masks)) if z_out else -1 for z_out in outside]
     if len(out_masks) > _SIG_MASK_CAP:
-        return ("rots", run)
+        return _compile_halves(run, n, checks)
     # each flip and Z mask localized: bit n-1-q of the register is bit f-1-i, q = support[i]
     xz = np.array([(x, z) for x, z, _ in run], dtype=np.int64)
     bits = xz[:, :, None] >> np.array([n - 1 - q for q in support]) & 1
@@ -324,8 +306,8 @@ def _compile_block(run: list, n: int, union: int, checks):
     present = np.unique(sig, return_inverse=True)[0]
     bounds = np.searchsorted(sig, present, side="left").tolist() + [sig.size]
     n_cos, dim = local.shape
-    if len(present) * n_cos * dim * dim * 16 > _UNITARY_BYTES_CAP:
-        return ("rots", run)
+    if len(present) * n_cos * dim * dim * 16 > _UNITARY_BYTES_CAP and len(run) > 1:
+        return _compile_halves(run, n, checks)
     # one (C, D, D) stack per signature, composed rotation by rotation so that each stored
     # entry rounds like the dense update's; signature bit w_pos set runs a rotation at
     # -angle, and column -1 (w_pos = -1, no outside Z letters) is all zeros
@@ -341,7 +323,12 @@ def _compile_block(run: list, n: int, union: int, checks):
         rest_syns, firsts = np.unique(rest_syn[lo:hi], return_index=True)
         firsts = (firsts + lo).tolist()
         slices.append((tuple(zip(rest_syns.tolist(), firsts, firsts[1:] + [hi])), u_sig))
-    return ("blk", sup_off, rest_off, groups, slices)
+    return [("blk", sup_off, rest_off, groups, slices)]
+
+
+def _compile_halves(run: list, n: int, checks) -> list:
+    half = len(run) // 2
+    return _compile_block(run[:half], n, checks) + _compile_block(run[half:], n, checks)
 
 
 def _compose(rots: list, local: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -438,10 +425,6 @@ def _apply_segment(segment, psi: np.ndarray) -> np.ndarray:
     if kind == "diag":
         psi *= segment[1]
         return psi
-    if kind == "rots":
-        for x, z, angle in segment[1]:
-            _rotate(psi, x, z, angle)
-        return psi
     for sup_off, rest_off, u in segment[1]:
         idx = sup_off + rest_off
         psi[idx] = u @ psi[idx]
@@ -454,11 +437,11 @@ def trotter_evolve(plan: TrotterPlan, psi0: np.ndarray, observer=None) -> np.nda
     ``observer(step, psi)`` is called after each full step with the live
     statevector (read-only).  The plan compiles once, on first use: runs of
     diagonal rotations become phase vectors, runs of flip rotations small
-    unitaries stored one block per coset of the span of their flips, and the
-    rest stays rotation by rotation.  No rotation changes an index's syndrome
-    under the plan's parity checks, so the blocks visit only the columns whose
-    syndrome is that of a nonzero amplitude of psi0; every other amplitude is
-    and stays exactly zero.  The product equals the ordered rotation product up
+    unitaries stored one block per coset of the span of their flips (a run too
+    large for one block as the blocks of its halves).  No rotation changes an
+    index's syndrome under the plan's parity checks, so the blocks visit only
+    the columns whose syndrome is that of a nonzero amplitude of psi0; every
+    other amplitude is and stays exactly zero.  The product equals the ordered rotation product up
     to round-off, and the skipped amplitudes are exact zeros in both.
     """
     if psi0.shape != (1 << plan.n_qubits,):

@@ -44,6 +44,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12  # coefficients at or below this are dropped
 COMPARE_TOL = 1e-10  # coefficient agreement in equality and Hermiticity checks
+# round-off floor of the absolute leak and Hermiticity checks, relative to the magnitude
+# of what they sum: their tolerances rise to it when coefficients grow large
+_ROUNDOFF = 64 * np.finfo(float).eps
 
 I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k, the phase of a string with k Y letters
 _PHASE_ARRAY = np.array(I_POWERS)
@@ -191,7 +194,12 @@ class PauliSum:
         return bool(np.all(np.hypot(diff.real, diff.imag) <= tol))
 
     def is_hermitian(self, tol: float = COMPARE_TOL) -> bool:
-        return bool(np.all(np.abs(self.coeffs.imag) <= tol))
+        """Every coefficient's imaginary part is at most tol, or at most the round-off
+        floor _ROUNDOFF times the largest real or imaginary part where that is larger
+        (within sqrt(2) of the largest modulus, which could overflow)."""
+        re, im = np.abs(self.coeffs.real), np.abs(self.coeffs.imag)
+        floor = _ROUNDOFF * float(max(re.max(initial=0.0), im.max(initial=0.0)))
+        return bool(np.all(im <= max(tol, floor)))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -438,7 +446,9 @@ def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> 
 
     Every value of a flip group on a spanned index, in the span or out of it, is one
     ``reduceat`` sum over the group's terms in table order, whatever the slicing.  An
-    out-of-span value above tol raises; ``tol=np.inf`` returns the restricted entries.
+    out-of-span value above tol raises, unless it is within the round-off floor
+    _ROUNDOFF times the 1-norm of its group's coefficients; ``tol=np.inf`` returns the
+    restricted entries.
     """
     arr = np.fromiter(indices, dtype=np.int64)
     dim = arr.size
@@ -448,6 +458,8 @@ def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> 
     # c * i**nY: numpy's complex product is CPython's formula, and with factors
     # 0 and +-1 every part is exact, so zeros keep the signs CPython gives them
     coeffs = coeffs * _PHASE_ARRAY[np.bitwise_count(np.repeat(flips, np.diff(starts)) & zs) & 3]
+    # per group, the largest leak it may show: tol, or round-off of its 1-norm if larger
+    floors = np.maximum(tol, _ROUNDOFF * np.add.reduceat(np.abs(coeffs), starts[:-1]))
     signs = np.stack((coeffs, -coeffs), axis=1).ravel()  # term j at 2j, negated at 2j + 1
     per_slice = max(1, _SLICE_ENTRIES // max(dim, 1))
     mat = np.zeros((dim, dim), dtype=complex)
@@ -466,8 +478,9 @@ def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> 
             vals[lo - first : hi - first] = np.add.reduceat(signed, starts[lo:hi] - bounds[lo], 1).T
         # an element (row, column) belongs to the one group with flip arr[row] ^ arr[column]
         mat[order[pos[hit]], np.nonzero(hit)[1]] = vals[hit]
-        worst = max(worst, float(np.abs(vals[~hit]).max(initial=0.0)))
-    if worst > tol:
+        leaks = np.where(hit, 0.0, np.abs(vals))
+        worst = max(worst, float(leaks[leaks > floors[first:stop, None]].max(initial=0.0)))
+    if worst > 0.0:
         raise ValueError(f"operator leaves the subspace (matrix element {worst:.3e})")
     return mat
 

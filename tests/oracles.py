@@ -9,11 +9,13 @@ operator assembly checks both constructions at once.
 The Trotter reference steps a plan rotation by rotation over the whole
 register, applying each string letter by letter on the register reshaped to
 one axis per qubit.  It shares no code with the package's compiled evaluator
-(its phase vectors, coset blocks or rotation fallback), so agreement checks
-that evaluator's reassociation of the ordered rotation product.  The block
-reference ``compose_reference`` is the compiler's per-rotation dense update
-as first written, one allocating pass per product and a gathered row copy;
-the compiler's in-place passes on a flipped view must equal it bit for bit.
+(its phase vectors and coset blocks), so agreement checks that evaluator's
+reassociation of the ordered rotation product.  The block reference
+``compose_reference`` is the compiler's per-rotation dense update as first
+written, one allocating pass per product and a gathered row copy; the
+compiler's in-place passes on a flipped view must equal it bit for bit.  The
+phase reference ``term_phase`` looks a string's phase up per register index,
+the product the compiler's diagonal phase vectors must equal bit for bit.
 
 The register references ``apply``, ``to_matrix`` and ``expectation`` read each
 term of a Pauli sum through its public letters and build the string's action
@@ -48,6 +50,7 @@ from lfyukawa.hamiltonian import bracket, self_inertia
 from lfyukawa.pauli import (
     COMPARE_TOL,
     DEFAULT_TOL,
+    I_POWERS,
     PauliSum,
     adjoint,
     boson_occupancy_raisers,
@@ -340,6 +343,15 @@ def compose_reference(rots, local: np.ndarray, signs: np.ndarray) -> np.ndarray:
         pu = (phase[:, :, None] * u)[:, :, tidx ^ k]
         u = c * u - 1j * sn * pu
     return u
+
+
+def term_phase(idx: np.ndarray, x: int, z: int) -> np.ndarray:
+    """Per-source-index phase of a unit string: i**nY * (-1)**popcount(i & z)."""
+    eta = I_POWERS[(x & z).bit_count() & 3]
+    if z == 0:
+        return np.full(idx.shape, eta)
+    par = (np.bitwise_count(idx & z) & 1).astype(np.int8)
+    return eta * (1.0 - 2.0 * par)
 
 
 MATRIX_QUBIT_CAP = 14

@@ -19,7 +19,6 @@ from lfyukawa.evolve import (
     _parity_checks,
     _reachable,
     _syndromes,
-    _term_phase,
     exact_evolve,
     make_plan,
     plan_cost,
@@ -41,6 +40,7 @@ from oracles import (
     charge_reference,
     compose_reference,
     rabi_transition,
+    term_phase,
     trotter_reference,
 )
 
@@ -292,8 +292,8 @@ def _random_real_sum(
 )
 def test_blocked_equals_sequential_on_random_sums(data, n, shape, n_steps, order, t):
     # few flip patterns with many z masks leave more than _SIG_MASK_CAP parity masks
-    # outside a block's support, so the per-rotation "rots" fallback runs as well; flips
-    # spanning at most 3 dimensions make blocks of several cosets (d < f)
+    # outside a block's support, so runs split into the blocks of their halves as well;
+    # flips spanning at most 3 dimensions make blocks of several cosets (d < f)
     h = _random_real_sum(data.draw, n, *shape)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="psi seed"))
     psi0 = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
@@ -416,23 +416,92 @@ def test_coupling_sweep_starts_fill_their_own_cosets(coupling_sweep_runs):
         assert np.all(_syndromes(on, plan._checks) == start)
 
 
-def test_blocked_compiles_both_segment_kinds():
-    # flips on qubits 0-4, eight z masks with distinct parities on qubits 5-8: a "rots"
-    # segment; flips on qubits 4-8 overflow the 8-qubit block and start a coset-blocked
-    # "blk" one
+def _evolve_with_caps(plan, psi0, sig_cap: int, byte_cap: int):
+    """trotter_evolve(plan, psi0) with the block caps patched, and per composed block
+    its (rotations, masks of Z letters outside its flips, stack bytes)."""
+    compose, blocks = evolve._compose, []
+
+    def spy(rots, local, signs):
+        u = compose(rots, local, signs)
+        blocks.append((len(rots), signs.shape[1] - 1, u.nbytes))
+        return u
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_SIG_MASK_CAP", sig_cap)
+        mp.setattr(evolve, "_UNITARY_BYTES_CAP", byte_cap)
+        mp.setattr(evolve, "_compose", spy)
+        psi = trotter_evolve(plan, psi0)
+    return psi, blocks
+
+
+def _assert_blocks_within_caps(plan, blocks, sig_cap: int, byte_cap: int):
+    # every flip rotation is composed in exactly one block, and a block of two or more
+    # rotations keeps both caps; a lone rotation has at most one outside mask
+    assert {s[0] for s in plan._compiled} <= {"diag", "blk"}
+    assert len(blocks) == sum(s[0] == "blk" for s in plan._compiled)
+    assert sum(r for r, _, _ in blocks) == sum(1 for x, _, _ in plan.rotations if x)
+    for rotations, masks, nbytes in blocks:
+        assert masks <= (sig_cap if rotations > 1 else 1)
+        assert nbytes <= byte_cap or rotations == 1
+
+
+def test_blocked_splits_a_run_past_the_caps():
+    # flips on qubits 0-4 with eight z masks of distinct parities on qubits 5-8: more than
+    # _SIG_MASK_CAP = 6 outside masks, so the run compiles as the blocks of its halves;
+    # flips on qubits 4-8 overflow the 8-qubit block and start a block of their own
     n = 9
     terms = {(0b111110000, 0b100000000 | k): 0.1 * k for k in range(1, 9)}
     terms[0b000011111, 0b100000000] = 0.7
     terms[0, 0b000000011] = 0.3
     h = PauliSum(n, {k: complex(c) for k, c in terms.items()})
+    psi0 = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+    caps = evolve._SIG_MASK_CAP, evolve._UNITARY_BYTES_CAP
     for order in (1, 2):
         plan = make_plan(h, 0.4, 2, order=order)
-        kinds = [segment[0] for segment in _compile_plan(plan)]
-        assert {"blk", "rots"} <= set(kinds)
-        psi0 = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+        b, blocks = _evolve_with_caps(plan, psi0, *caps)
+        _assert_blocks_within_caps(plan, blocks, *caps)
+        # the eight-mask run (twice at order 2) splits in two, the lone string is one block
+        assert len(blocks) == {1: 3, 2: 5}[order]
         a = trotter_reference(plan, psi0)
-        b = trotter_evolve(plan, psi0)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 9),
+    shape=st.sampled_from([(3, 12, 24), (8, 1, 4)]),
+    n_steps=st.integers(1, 2),
+    order=st.sampled_from([1, 2]),
+    t=st.floats(0.01, 1.0),
+    sig_cap=st.integers(1, 3),
+    byte_cap=st.sampled_from([1 << 10, 1 << 14]),
+)
+def test_blocked_split_to_small_caps_equals_sequential(
+    data, n, shape, n_steps, order, t, sig_cap, byte_cap
+):
+    # caps of one to three outside masks and 1-16 KB split runs down to lone rotations,
+    # some of whose stacks pass the byte cap; the split product is still the ordered
+    # rotation product, with the reference's exact zeros off the start's cosets
+    h = _random_real_sum(data.draw, n, *shape)
+    starts = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3, unique=True)
+    on = data.draw(starts, label="starts")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="psi seed"))
+    psi0 = np.zeros(1 << n, dtype=complex)
+    psi0[on] = rng.standard_normal(len(on)) + 1j * rng.standard_normal(len(on))
+    psi0 /= np.linalg.norm(psi0)
+    plan = make_plan(h, t, n_steps, order=order)
+    b, blocks = _evolve_with_caps(plan, psi0, sig_cap, byte_cap)
+    _assert_blocks_within_caps(plan, blocks, sig_cap, byte_cap)
+    a = trotter_reference(plan, psi0)
+    assert np.max(np.abs(a - b)) < 1e-12
+    syndrome = _syndromes(np.arange(1 << n), plan._checks)
+    skipped = ~np.isin(syndrome, syndrome[on])
+    assert not a[skipped].any() and not b[skipped].any()
+    # as in test_blocked_visits_only_the_reachable_cosets, a visited column that cancels
+    # may keep a round-off residue in either product; above that the exact zeros agree
+    residue = (np.abs(a) < 1e-14) & (np.abs(b) < 1e-14)
+    assert np.array_equal(a[~residue] == 0, b[~residue] == 0)
 
 
 def test_blocked_stacks_one_unitary_per_coset():
@@ -516,8 +585,6 @@ def _assert_compiled_like_the_dense_update(compile_segments):
             assert groups_a == groups_b and [r for r, _ in slices_a] == [r for r, _ in slices_b]
             for (_, u_a), (_, u_b) in zip(slices_a, slices_b):
                 assert np.array_equal(u_a.view(np.uint64), u_b.view(np.uint64))
-        elif a[0] == "rots":
-            assert a == b
 
 
 def _coupling_sweep_plan(coupling: float, order: int):
@@ -539,7 +606,7 @@ def _term_phase_product(run, n: int) -> np.ndarray:
     idx = np.arange(1 << n)
     want = np.ones(1 << n, dtype=complex)
     for _, z, angle in run:
-        want *= math.cos(angle) - 1j * math.sin(angle) * _term_phase(idx, 0, z)
+        want *= math.cos(angle) - 1j * math.sin(angle) * term_phase(idx, 0, z)
     return want
 
 
@@ -628,9 +695,8 @@ def _flip_runs(draw):
                     (0b01000, 0b10000, 0.4), (0b01011, 0b00100, -1.3)]))
 def test_random_blocks_compose_like_the_dense_update(block):
     n, run = block
-    union = reduce(or_, (x for x, _, _ in run))
     checks = _parity_checks({x for x, _, _ in run}, n)
-    _assert_compiled_like_the_dense_update(lambda: [_compile_block(run, n, union, checks)])
+    _assert_compiled_like_the_dense_update(lambda: _compile_block(run, n, checks))
 
 
 def test_trotter_transition_converges_to_exact(two_level):

@@ -223,6 +223,24 @@ def test_subspace_matrix_checks_groups_that_map_nothing_into_the_span(monkeypatc
     assert np.array_equal(subspace_matrix(inner + quiet, [0, 1], tol=0.0), subspace_matrix(inner, [0, 1]))
 
 
+def test_leak_and_hermiticity_checks_rise_to_the_round_off_floor():
+    # XI + XZ maps |00> out of span{00} with the sum of its two coefficients: at 1e8 a
+    # residue of one ulp (1.5e-8) passes the 1e-9 tolerance but is within 64 eps of the
+    # group's 1-norm 2e8; the same group when it really leaves the span still raises
+    def leak(a, b):
+        return canonicalize([PauliString(a, "XI"), PauliString(b, "XZ"), PauliString(1.0, "ZI")])
+
+    residue = leak(1e8 + np.spacing(1e8), -1e8)
+    assert np.array_equal(subspace_matrix(residue, [0]), [[1.0]])
+    for a, b in ((1e8, 1e8), (1e8, -1e8 + 1e-4)):  # leaks 2e8 and 1e-4, past 2.8e-6
+        with pytest.raises(ValueError, match="operator leaves the subspace"):
+            subspace_matrix(leak(a, b), [0])
+    # an imaginary part passes within 64 ulps of the largest coefficient part
+    assert canonicalize([PauliString(1e8 + 1e-9j, "XX")]).is_hermitian()
+    assert not canonicalize([PauliString(1e8 + 1e-5j, "XX")]).is_hermitian()
+    assert not canonicalize([PauliString(1.0 + 1e-9j, "XX")]).is_hermitian()
+
+
 def test_subspace_matrix_slices_change_nothing(monkeypatch):
     layout = QubitLayout(ModeConfig.uniform(3, 3))
     op = boson_ladder(2, True, layout) + fermion_ladder("fermion", 1, False, layout) * 1e-6
@@ -473,8 +491,11 @@ def test_table_views_equal_the_per_term_reference(op):
     groups, ref = flip_group_tuples(op), flip_groups_reference(op)
     assert [(x, zs) for x, zs, _ in groups] == [(x, zs) for x, zs, _ in ref]
     assert [c.tobytes() for _, _, c in groups] == [c.tobytes() for _, _, c in ref]
+    # an imaginary part passes at tol or within 64 ulps of the largest part
+    largest = max((max(abs(c.real), abs(c.imag)) for _, c in want), default=0.0)
+    floor = 64 * np.finfo(float).eps * largest
     for tol in (0.0, 0.5):
-        assert op.is_hermitian(tol) == all(abs(c.imag) <= tol for _, c in want)
+        assert op.is_hermitian(tol) == all(abs(c.imag) <= max(tol, floor) for _, c in want)
 
 
 # Real and complex factors: signed zeros, factors at and below the drop tolerance, any finite float.

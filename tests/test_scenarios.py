@@ -559,6 +559,21 @@ def _run_cli(tmp_path, doc) -> int:
     return main(["run", str(path)])
 
 
+_TWO_STEPS = {"t_max": 0.02, "dt": 0.01}
+
+
+@pytest.mark.parametrize("doc", [
+    # self-inertias summed in closed form: no loop up to the cutoff
+    {"scenario": "rabi", "include_inertias": True, "inertia_cutoff": 1_000_000_000},
+    # round-off of coefficients near g^2 passes the leak and Hermiticity checks
+    {"scenario": "rabi", "coupling": 1e5, "evolution": {"mode": "exact", **_TWO_STEPS}},
+    {"scenario": "rabi", "coupling": 1e8, "evolution": {"mode": "exact", **_TWO_STEPS}},
+    {"scenario": "rabi", "coupling": 1e4, "evolution": {"mode": "trotter", **_TWO_STEPS}},
+], ids=["inertia-cutoff-1e9", "exact-coupling-1e5", "exact-coupling-1e8", "trotter-coupling-1e4"])
+def test_large_cutoffs_and_couplings_run(tmp_path, doc):
+    assert _run_cli(tmp_path, {**doc, "output_dir": str(tmp_path / "out")}) == 0
+
+
 def test_register_guards_exit_2_before_allocation(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(QubitLayout, "basis_vector", _refuse)
     refused = [
@@ -691,13 +706,26 @@ def test_exact_runs_build_no_register_vector(tmp_path, monkeypatch):
     assert all(r.leak_k == r.leak_q == 0.0 for r in records)
 
 
-def test_small_trotter_runs_step_the_compiled_plan(monkeypatch):
-    # the 12-qubit physical H compiles to phase vectors and coset blocks only, so a run
-    # that reached the rotation-by-rotation path would call _rotate
-    monkeypatch.setattr(evolve, "_rotate", _refuse)
-    doc = {"scenario": "trotter-study", "trotter_steps": [1, 2], "evolution": {"t_max": 0.1}}
-    records, _, manifest, _ = run_scenario(parse_config(json.dumps(doc)), write_files=False)
-    assert manifest["qubits"] == 12 and len(records) == 4
+def test_wide_boson_trotter_plan_splits_into_blocks(monkeypatch):
+    # rabi at modals 7 (15 qubits) at order 2: some of its flip runs carry more than
+    # _SIG_MASK_CAP outside Z masks and compile as the blocks of their halves, so the
+    # plan is phase vectors and coset blocks only
+    doc = {"scenario": "rabi", "modals": 7,
+           "evolution": {"mode": "trotter", "order": 2, "t_max": 0.2, "dt": 0.02}}
+    cfg = parse_config(json.dumps(doc))
+    config = cfg.mode_config
+    h = build_h(config, cfg.params, QubitLayout(config), cfg.parts, cfg.cross_species_string)
+    plan = evolve.make_plan(h, cfg.t_max, cfg.n_steps, cfg.order)
+    split, split_runs = evolve._compile_halves, []
+
+    def compile_halves(run, *args):
+        split_runs.append(run)
+        return split(run, *args)
+
+    monkeypatch.setattr(evolve, "_compile_halves", compile_halves)
+    segments = evolve._compile_plan(plan)
+    assert plan.n_qubits == 15 and split_runs
+    assert {s[0] for s in segments} == {"diag", "blk"}
 
 
 def test_sector_readout_equals_register_readout():
