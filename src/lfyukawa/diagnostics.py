@@ -20,6 +20,7 @@ __all__ = [
     "EvolutionRecord",
     "survival",
     "transition_prob",
+    "off_shell",
     "leakage",
     "records_to_csv",
 ]
@@ -32,19 +33,34 @@ def survival(psi_t: np.ndarray, psi0: np.ndarray) -> float:
     return float(abs(np.vdot(psi0, psi_t)) ** 2)
 
 
-def transition_prob(amp: np.ndarray, positions: Iterable[int]) -> float:
-    """Total probability on the given positions of the amplitude vector."""
+def transition_prob(amp: np.ndarray, positions) -> float:
+    """Total probability on the given positions (an array or a sequence) of the amplitude vector.
+
+    Each |amp|^2 is ``hypot(re, im) ** 2`` in libm, as ``abs(amp[p]) ** 2`` gives it
+    (``np.abs`` on an array may round differently), summed left to right.
+    """
+    picked = amp[positions]
     total = 0.0
-    for p in positions:
-        total += float(abs(amp[p]) ** 2)
+    for modulus in np.hypot(picked.real, picked.imag).tolist():
+        total += modulus**2
     return total
 
 
-def leakage(amp, indices, K0: int, Q0: int, layout: QubitLayout) -> tuple[float, float]:
-    """(probability off the K=K0 shell, off the Q=Q0 shell) of amp on the basis indices."""
+def off_shell(indices, K0: int, Q0: int, layout: QubitLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the basis indices off the K=K0 shell and off the Q=Q0 shell."""
     k, q = charges(layout, indices)
+    return k != K0, q != Q0
+
+
+def leakage(amp, indices, K0: int, Q0: int, layout: QubitLayout, off=None) -> tuple[float, float]:
+    """(probability off the K=K0 shell, off the Q=Q0 shell) of amp on the basis indices.
+
+    ``off``, the masks ``off_shell`` gives for the same arguments, spares recomputing
+    the charges of indices that many records share.
+    """
+    off_k, off_q = off_shell(indices, K0, Q0, layout) if off is None else off
     probs = np.abs(amp) ** 2
-    return float(probs[k != K0].sum()), float(probs[q != Q0].sum())
+    return float(probs[off_k].sum()), float(probs[off_q].sum())
 
 
 @dataclass

@@ -53,6 +53,18 @@ _PHASE_ARRAY = np.array(I_POWERS)
 _LETTER_BYTES = np.frombuffer(b"IXZY", dtype=np.uint8)  # indexed by x bit | z bit << 1
 
 
+# (shift, mask) steps that move bit b of a 32-bit value to bit 2b
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+           (2, 0x3333333333333333), (1, 0x5555555555555555))
+
+
+def _spread(v: np.ndarray) -> np.ndarray:
+    """Bit b of each uint64 below 2**32 moved to bit 2b, zeros between."""
+    for shift, mask in _SPREAD:
+        v = (v | v << shift) & mask
+    return v
+
+
 def _letters_to_masks(letters: str) -> tuple[int, int]:
     x = z = 0
     for ch in letters:
@@ -141,8 +153,23 @@ class PauliSum:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """Positions of the terms in canonical order."""
-        return np.argsort(self.letters)
+        """Positions of the terms in canonical order, the sorted order of ``letters``.
+
+        Each qubit's letter is coded in 2 bits as ``2z + (x ^ z)``, which runs I < X < Y
+        < Z, first qubit highest, 32 qubits to a uint64 word; one ``np.lexsort`` sorts
+        the words, the first word the primary key.
+        """
+        x, z = self.x.astype(np.uint64), self.z.astype(np.uint64)
+        words = []
+        for low in range(self.n_qubits - 32, -32, -32):  # qubits 32w .. 32w + 31, padded right
+            chunk = lambda m: (m >> low if low >= 0 else m << -low) & 0xFFFFFFFF
+            words.append(_spread(chunk(z)) << 1 | _spread(chunk(x ^ z)))
+        return np.lexsort(words[::-1]) if words else np.arange(x.size)
+
+    @cached_property
+    def support(self) -> int:
+        """Mask of the qubits that some string acts on."""
+        return int(np.bitwise_or.reduce(self.x | self.z))
 
     @property
     def terms(self) -> tuple[PauliString, ...]:
@@ -179,7 +206,7 @@ class PauliSum:
         return complex(self.coeffs[at[0]]) if at.size else 0.0 + 0.0j
 
     def prune(self, tol: float = DEFAULT_TOL) -> "PauliSum":
-        keep = np.hypot(self.coeffs.real, self.coeffs.imag) > tol
+        keep = _modulus(self.coeffs.real, self.coeffs.imag) > tol
         return PauliSum._of(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])
 
     def equals(self, other: "PauliSum", tol: float = COMPARE_TOL) -> bool:
@@ -191,7 +218,7 @@ class PauliSum:
         diff = np.zeros(first.size, complex)
         diff[ids[: len(self)]] = self.coeffs
         diff[ids[len(self) :]] -= other.coeffs  # each sum's strings are distinct
-        return bool(np.all(np.hypot(diff.real, diff.imag) <= tol))
+        return bool(np.all(_modulus(diff.real, diff.imag) <= tol))
 
     def is_hermitian(self, tol: float = COMPARE_TOL) -> bool:
         """Every coefficient's imaginary part is at most tol, or at most the round-off
@@ -262,12 +289,20 @@ def canonicalize(terms: Iterable[PauliString], tol: float = DEFAULT_TOL) -> Paul
 # the first value and add the later ones in occurrence order (``np.add.at`` on
 # -0.0, the additive identity that keeps a first -0.0), keys in first-occurrence
 # order; a key new to a sum starts from ``complex(0.0, 0.0) + c``; and the prune
-# ``abs(c) > tol`` as ``np.hypot``, which is CPython's ``abs(complex)``.
+# ``abs(c) > tol`` as ``np.hypot``, which is CPython's ``abs(complex)``.  Parts past the
+# float range turn into inf and nan without a warning, as CPython's complex arithmetic does.
 
 
 def _complex_product(ar, ai, br, bi):
     """CPython's ``(ar + ai*j) * (br + bi*j)``, one float64 operation at a time."""
-    return ar * br - ai * bi, ar * bi + ai * br
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _modulus(re, im):
+    """CPython's ``abs(re + im*j)``; inf where CPython raises OverflowError."""
+    with np.errstate(over="ignore"):
+        return np.hypot(re, im)
 
 
 def _first_ids(x: np.ndarray, z: np.ndarray, job: np.ndarray | None = None):
@@ -328,7 +363,7 @@ def _sums(x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray, job=None
 
 def _kept(first: np.ndarray, re: np.ndarray, im: np.ndarray):
     """The keys whose sums pass the prune ``abs(c) > DEFAULT_TOL``."""
-    keep = np.hypot(re, im) > DEFAULT_TOL
+    keep = _modulus(re, im) > DEFAULT_TOL
     return first[keep], re[keep], im[keep]
 
 
@@ -343,25 +378,38 @@ def _job_products(lefts: list[PauliSum], rights: list[PauliSum]):
     nb = np.array([t.x.size for t in rights], np.int64)
     counts = na * nb
     job = np.repeat(np.arange(counts.size), counts)
-    local = np.arange(job.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = nb[job]
-    ia = np.repeat(np.cumsum(na) - na, counts) + local // width
-    ib = np.repeat(np.cumsum(nb) - nb, counts) + local % width
-    del local, width
+    rows = np.repeat(nb, na)  # one row per left term, as long as its job's right operand
+    ia = np.repeat(np.arange(rows.size), rows)
+    shift = np.cumsum(rows) - rows - np.repeat(np.cumsum(nb) - nb, na)  # row start - right offset
+    ib = np.arange(job.size) - np.repeat(shift, rows)
     ax, az, ac = (np.concatenate(arrays) for arrays in zip(*((t.x, t.z, t.coeffs) for t in lefts)))
     bx, bz, bc = (np.concatenate(arrays) for arrays in zip(*((t.x, t.z, t.coeffs) for t in rights)))
     x1, z1, x2, z2 = ax[ia], az[ia], bx[ib], bz[ib]
     x3, z3 = x1 ^ x2, z1 ^ z2
+    re, im = _complex_product(ac.real[ia], ac.imag[ia], bc.real[ib], bc.imag[ib])
+    # a job on disjoint qubits forms each key once, with phase i**0 (still multiplied: a
+    # zero part can change sign) and no sign flip
+    support = lambda ops: np.array([t.support for t in ops], np.int64)
+    repeated = np.repeat((support(lefts) & support(rights)) != 0, counts)
+    at = np.flatnonzero(repeated)
+    if not at.size:
+        re, im = _complex_product(re, im, 1.0, 0.0)
+        first, re, im = _kept(np.arange(job.size), re, im)
+        return job[first], x3[first], z3[first], re, im
     # i**k with k = nY(1) + nY(2) - nY(3) (mod 4); uint8 wraps mod 256, a multiple of 4
     k = np.bitwise_count(ax & az)[ia] + np.bitwise_count(bx & bz)[ib] - np.bitwise_count(x3 & z3)
     k &= 3
     flip = (np.bitwise_count(z1 & x2) & 1).astype(bool)
     del x1, z1, x2, z2
-    re, im = _complex_product(ac.real[ia], ac.imag[ia], bc.real[ib], bc.imag[ib])
     re, im = _complex_product(re, im, _PHASE_ARRAY.real[k], _PHASE_ARRAY.imag[k])
     np.negative(re, out=re, where=flip)
     np.negative(im, out=im, where=flip)
-    first, re, im = _kept(*_sums(x3, z3, re, im, job))
+    # each key of an overlapping job keeps its first entry, which takes the key's sum
+    sub, sum_re, sum_im = _sums(x3[at], z3[at], re[at], im[at], job[at])
+    re[at[sub]], im[at[sub]] = sum_re, sum_im
+    repeated[at[sub]] = False
+    keys = np.flatnonzero(~repeated)
+    first, re, im = _kept(keys, re[keys], im[keys])
     return job[first], x3[first], z3[first], re, im
 
 
@@ -584,11 +632,13 @@ def boson_ladder(mode: int, dagger: bool, layout: QubitLayout) -> PauliSum:
     n = layout.total_qubits
     start, _ = layout.block("boson", mode)
     modals = layout.config.boson_modals[mode - 1]
+    words = boson_occupancy_raisers(modals)
+    terms = [PauliSum.identity(n, coeff) for coeff, _ in words]
+    for offset in range(len(words[0][1])):  # every word has one factor per block qubit
+        factors = [_FACTOR_BUILDERS[word[offset]](n, start + offset) for _, word in words]
+        terms = products(terms, factors)
     total = PauliSum.zero(n)
-    for coeff, factors in boson_occupancy_raisers(modals):
-        term = PauliSum.identity(n, coeff)
-        for offset, factor in enumerate(factors):
-            term = product(term, _FACTOR_BUILDERS[factor](n, start + offset))
+    for term in terms:
         total = total + term
     return total if dagger else adjoint(total)
 
@@ -606,9 +656,9 @@ def dumps(op: PauliSum) -> str:
     parts = np.concatenate([op.coeffs.real[order], op.coeffs.imag[order]])
     patterns, which = np.unique(parts.view(np.uint64), return_inverse=True)
     text = [repr(v) for v in patterns.view(np.float64).tolist()]
-    letters = op.letters[order].astype(str).tolist()
+    letters = op.letters[order].tolist()  # bytes, decoded line by line: faster than astype(str)
     re, im = which[: order.size].tolist(), which[order.size :].tolist()
-    return "\n".join([f"{text[a]} {text[b]} {s}" for a, b, s in zip(re, im, letters)])
+    return "\n".join([f"{text[a]} {text[b]} {s.decode()}" for a, b, s in zip(re, im, letters)])
 
 
 def loads(text: str) -> PauliSum:

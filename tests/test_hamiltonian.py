@@ -300,6 +300,18 @@ def test_hamiltonians_reproduce_golden_hashes(run):
     assert hashes == manifest["hamiltonian_hashes"]
 
 
+@pytest.mark.parametrize("n_modes, digest", [
+    pytest.param(8, "f568350fd37fc9d1221c5ac5065b90670ada0e4530ed6f012e0419259b18fbdf", id="32-qubits"),
+    pytest.param(12, "91e8e4ae5ec0c04027c487da8e8cbff11495e45a4b01b12441392c83fa6007db", id="48-qubits"),
+])
+def test_wide_registers_dump_to_pinned_hashes(n_modes, digest):
+    """Registers as wide as the canonical order's 32-qubit key words and wider, where the
+    grouping of products runs on its lexsort path, dump to pinned bits."""
+    config = ModeConfig.uniform(n_modes)
+    h = build_h(config, ModelParams(), QubitLayout(config))
+    assert hashlib.sha256(dumps(h).encode()).hexdigest() == digest
+
+
 def _same_assembly(got, want):
     assert dumps(got) == dumps(want)
     assert list(store_of(got)) == list(store_of(want))

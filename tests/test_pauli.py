@@ -461,6 +461,25 @@ def test_zero_qubit_and_empty_dumps():
     assert dumps(PauliSum.zero(3)) == ""
 
 
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 63])
+def test_canonical_order_is_the_letter_sort_at_word_boundaries(n):
+    """The order sorts 32 qubits to a key word: strings that differ only at a qubit next to
+    a word boundary, or at the first or last qubit, sort as their letters do."""
+    rng = np.random.default_rng(n)
+    full = (1 << n) - 1
+    bases = [(0, 0), (full, full)] + [tuple(int(v) for v in rng.integers(0, full, 2, endpoint=True))
+                                      for _ in range(6)]
+    keys = dict.fromkeys((int(v) & full, int(w) & full) for v, w in rng.integers(0, 1 << 62, (40, 2)))
+    for (x, z), q in itertools.product(bases, {0, 30, 31, 32, 33, n - 2, n - 1} & set(range(n))):
+        bit = 1 << (n - 1 - q)
+        for xb, zb in itertools.product((0, bit), repeat=2):  # each letter at qubit q
+            keys[x & ~bit | xb, z & ~bit | zb] = None
+    x, z = (np.array(masks, np.int64) for masks in zip(*keys))
+    op = PauliSum._of(n, x, z, np.ones(x.size, complex))
+    assert np.array_equal(op.order, np.argsort(op.letters, kind="stable"))
+    assert dumps(op) == dumps_reference(op)
+
+
 # Few distinct parts, signed zeros among them, as in built Hamiltonians.
 _parts = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-13]),
@@ -597,6 +616,69 @@ def test_batched_products_equal_the_dict_reference_bit_for_bit(pair, weights):
     want = PauliSum(a.n_qubits, acc).prune()
     got = sum_of_products(a.n_qubits, [([a], [b], weights[:1]), (lefts[1:], rights[1:], weights[1:])])
     _same_store(got, want)
+
+
+@st.composite
+def _mixed_batches(draw):
+    """Jobs of operands on disjoint qubits, one on the low bits and one on the rest in either
+    order, mixed with jobs of operands that share qubits, as the Hamiltonian's parts batch them."""
+    n = draw(st.integers(2, 63))
+    full = (1 << n) - 1
+    low = (1 << draw(st.integers(1, n - 1))) - 1
+    mask = st.one_of(st.integers(0, 3), st.integers(0, full), st.just(full))
+
+    def one(keep):
+        entries = draw(st.lists(st.tuples(mask, mask, _product_parts, _product_parts), max_size=6))
+        return PauliSum(n, {(x & keep, z & keep): complex(re, im) for x, z, re, im in entries})
+
+    lows, highs, wides = ([one(keep) for _ in range(2)] for keep in (low, full & ~low, full))
+    jobs = []
+    for kind in draw(st.lists(st.sampled_from(["low-high", "high-low", "shared"]), min_size=1,
+                              max_size=6)):
+        a, b = draw(st.sampled_from(lows)), draw(st.sampled_from(highs))
+        jobs.append((a, b) if kind == "low-high" else (b, a) if kind == "high-low"
+                    else (draw(st.sampled_from(lows + wides)), draw(st.sampled_from(wides))))
+    return n, jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_batches(), st.lists(_product_parts, min_size=6, max_size=6))
+def test_disjoint_and_overlapping_jobs_equal_the_dict_reference_bit_for_bit(batch, weights):
+    """Products on disjoint qubits skip the per-key sums; batched with overlapping ones,
+    every product and the weighted sum keep the reference's keys, order and bits."""
+    n, jobs = batch
+    lefts, rights = (list(ops) for ops in zip(*jobs))
+    for got, left, right in zip(products(lefts, rights), lefts, rights):
+        want = product_reference(left, right)
+        _same_store(got, want)
+        assert [t.letters for t in got.terms] == [t.letters for t in want.terms]
+    acc: dict = {}
+    for left, right, w in zip(lefts, rights, weights):
+        accumulate_reference(acc, product_reference(left, right), w)
+    cuts = [(0, 1), (1, len(jobs))] if len(jobs) > 1 else [(0, 1)]  # two slices where there are jobs
+    got = sum_of_products(n, [(lefts[i:j], rights[i:j], weights[i:j]) for i, j in cuts])
+    _same_store(got, PauliSum(n, acc).prune())
+
+
+@pytest.mark.filterwarnings("error")
+def test_parts_past_the_float_range_give_inf_and_nan_silently():
+    """Scaling and products overflow to inf and nan as CPython's complex arithmetic does,
+    without a warning; a modulus past the float range keeps its term, and a comparison whose
+    difference has no finite modulus is False."""
+    big = PauliSum(2, {(1, 0): complex(1e300, -1e300), (0, 1): complex(1.5e308, 0.0)})
+    for w in (1e300, -1e300, complex(1e300, 1e300)):
+        _same_store(big * w, scale_reference(big, w))
+    huge = PauliSum(2, {(1, 1): complex(1.5e308, -1.5e308), (0, 0): 1e-13})
+    for tol in (0.0, DEFAULT_TOL):
+        _same_store(huge.prune(tol), prune_reference(huge, tol))
+    unit = PauliSum(2, {(0, 0): complex(1.5e308, 0.0)})
+    flip = PauliSum(2, {(1, 0): complex(1.5e308, 0.0)})
+    for a, b in ((unit, flip), (flip, big), (big, big)):
+        _same_store(product(a, b), product_reference(a, b))
+    real, imag = PauliSum(2, {(1, 0): complex(1.5e308, 0.0)}), PauliSum(2, {(1, 0): -1.5e308j})
+    for a, b in ((real, imag), (imag, real)):
+        for tol in (0.0, COMPARE_TOL, 1e308):
+            assert a.equals(b, tol) is equals_reference(a, b, tol) is False
 
 
 @settings(max_examples=200, deadline=None)
