@@ -24,7 +24,7 @@ print(dumps(ad)[:400] + "\n...")
 
 dim = 8
 # the matrix on the whole register: every basis index is in the span
-full = subspace_matrix(ad, np.arange(1 << layout.total_qubits), tol=np.inf)
+full = subspace_matrix(ad, np.arange(1 << layout.total_qubits))
 block = full[:dim, :dim].real
 print("\nmatrix elements <l+1| a_dagger |l> (should be sqrt(l+1), zero elsewhere):")
 for level in range(7):

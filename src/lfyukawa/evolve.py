@@ -28,7 +28,7 @@ from operator import or_
 import numpy as np
 
 from .fock import enumerate_sector  # noqa: F401  bench/spans.py wraps the name here
-from .pauli import COMPARE_TOL, I_POWERS, PauliSum, subspace_matrix
+from .pauli import COMPARE_TOL, I_POWERS, PauliSum, basis_indices, subspace_matrix
 
 __all__ = [
     "SECTOR_DIM_CAP",
@@ -59,7 +59,10 @@ def exact_evolve(
 
     ``indices`` is a charge sector, ``fock.sector_indices(config, K, Q)``; ``psi0``
     and the result hold amplitudes on it: ``psi0`` has shape (dim,), the result
-    (dim,) for a scalar t, (n_times, dim) otherwise.
+    (dim,) for a scalar t, (n_times, dim) otherwise.  h must conserve the sector's
+    charges, as ``build_h`` checks: only the matrix elements inside the sector are
+    read, and the ones leaving it are not looked at.  ValueError if that matrix is
+    not Hermitian.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if len(indices) > SECTOR_DIM_CAP:
@@ -476,13 +479,9 @@ def sample_counts(amp, shots: int, seed: int, indices, n_qubits: int) -> dict[st
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    indices = np.asarray(indices)
-    if indices.shape != np.shape(amp) or np.any(np.diff(indices) <= 0):
+    indices = basis_indices(indices, n_qubits)
+    if indices.shape != np.shape(amp):
         raise ValueError("indices must be strictly increasing, one per amplitude")
-    if indices.min(initial=0) < 0:
-        raise ValueError(f"basis index {int(indices.min())} is negative")
-    if int(indices.max(initial=0)).bit_length() > n_qubits:
-        raise ValueError(f"basis index {int(indices.max())} does not fit in {n_qubits} qubits")
     probs = np.abs(amp) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

@@ -4,7 +4,9 @@
 quartic parts (seagull and fork).  Every interaction coefficient is a momentum
 bracket evaluated explicitly, so only momentum-conserving index tuples emit
 terms and the assembled operator commutes with both light-front charges, the
-harmonic resolution K and the baryon number Q, by construction.
+harmonic resolution K and the baryon number Q, by construction.  ``build_h``
+also checks this once per Hamiltonian (``pauli.check_charges``): every sector
+matrix is then read from the pairs inside its sector alone.
 
 Each part is a list of jobs ``w * (A . B)``: a weight and two named operands, each a
 ladder operator or the product of two, from a per-build cache that forms all the
@@ -22,7 +24,15 @@ import math
 from dataclasses import dataclass
 
 from .fock import ModeConfig, QubitLayout
-from .pauli import PauliSum, adjoint, boson_ladder, fermion_ladder, products, sum_of_products
+from .pauli import (
+    PauliSum,
+    adjoint,
+    boson_ladder,
+    check_charges,
+    fermion_ladder,
+    products,
+    sum_of_products,
+)
 
 __all__ = [
     "ModelParams",
@@ -334,10 +344,14 @@ def build_h(
     parts: tuple[str, ...] = PARTS,
     cross_species_string: bool = True,
 ) -> PauliSum:
-    """Canonical sum of the requested Hamiltonian parts (all four by default)."""
+    """Canonical sum of the requested Hamiltonian parts (all four by default).
+
+    ValueError if the sum moves K or Q by more than round-off (``pauli.check_charges``).
+    """
     lad = _Ladders(layout, cross_species_string)
     total = PauliSum.zero(layout.total_qubits)
     for part in parts:
         total = total + _build_part(part, config, params, lad)
+    check_charges(total, layout)
     return total
 

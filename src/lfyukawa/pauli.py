@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .fock import QubitLayout
+from .fock import QubitLayout, _qubit_weights
 
 __all__ = [
     "DEFAULT_TOL",
@@ -31,7 +30,9 @@ __all__ = [
     "products",
     "sum_of_products",
     "adjoint",
+    "basis_indices",
     "subspace_matrix",
+    "check_charges",
     "fermion_ladder",
     "boson_ladder",
     "sigma_plus",
@@ -44,7 +45,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12  # coefficients at or below this are dropped
 COMPARE_TOL = 1e-10  # coefficient agreement in equality and Hermiticity checks
-# round-off floor of the absolute leak and Hermiticity checks, relative to the magnitude
+CHARGE_TOL = 1e-9  # largest charge-moving element check_charges lets pass
+# round-off floor of the absolute charge and Hermiticity checks, relative to the magnitude
 # of what they sum: their tolerances rise to it when coefficients grow large
 _ROUNDOFF = 64 * np.finfo(float).eps
 
@@ -305,20 +307,19 @@ def _modulus(re, im):
         return np.hypot(re, im)
 
 
-def _first_ids(x: np.ndarray, z: np.ndarray, job: np.ndarray | None = None):
-    """Ids of the distinct (job, x, z) keys, numbered in order of first occurrence.
+def _key_runs(x: np.ndarray, z: np.ndarray):
+    """The positions that sort the (x, z) keys, equal keys in position order, and a
+    mask of the sorted positions where a key's run starts.
 
-    ``job``, if given, must not decrease along the entries.  Returns each
-    entry's id and, in id order, each key's first position.  One sort
-    groups the keys with their positions in order: a quicksort of
-    (x, z, position) packed into one int64 when twice the mask width plus
-    the position bits fit 63 bits, else a stable ``np.lexsort`` on (x, z),
-    which takes any int64 masks and is several times slower.
+    One sort: a quicksort of (x, z, position) packed into one int64 when twice
+    the mask width plus the position bits fit 63 bits, else a stable
+    ``np.lexsort`` on (x, z), which takes any int64 masks and is several times
+    slower.
     """
     m = x.size
-    if m == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
     new = np.empty(m, bool)
+    if m == 0:
+        return np.zeros(0, np.int64), new
     new[0] = True
     b = (m - 1).bit_length()
     width = int((x | z).max()).bit_length()
@@ -332,6 +333,20 @@ def _first_ids(x: np.ndarray, z: np.ndarray, job: np.ndarray | None = None):
         xs, zs = x[pos], z[pos]
         np.not_equal(xs[1:], xs[:-1], out=new[1:])
         new[1:] |= zs[1:] != zs[:-1]
+    return pos, new
+
+
+def _first_ids(x: np.ndarray, z: np.ndarray, job: np.ndarray | None = None):
+    """Ids of the distinct (job, x, z) keys, numbered in order of first occurrence.
+
+    ``job``, if given, must not decrease along the entries.  Returns each
+    entry's id and, in id order, each key's first position.  One
+    ``_key_runs`` sort groups the keys with their positions in order.
+    """
+    m = x.size
+    if m == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    pos, new = _key_runs(x, z)
     if job is not None:  # positions rise within a key, so a job change starts a group
         job = job[pos]
         new[1:] |= job[1:] != job[:-1]
@@ -374,6 +389,9 @@ def _job_products(lefts: list[PauliSum], rights: list[PauliSum]):
     product keeps the keys above ``DEFAULT_TOL``.  Returns ``(job, x, z, re,
     im)``: the kept terms, job by job, each product's in first-occurrence order.
     """
+    if not lefts:
+        none = np.zeros(0, np.int64)
+        return none, none, none, np.zeros(0), np.zeros(0)
     na = np.array([t.x.size for t in lefts], np.int64)
     nb = np.array([t.x.size for t in rights], np.int64)
     counts = na * nb
@@ -483,54 +501,119 @@ def adjoint(a: PauliSum) -> PauliSum:
     return PauliSum._of(a.n_qubits, a.x, a.z, a.coeffs.conj())
 
 
-# -- sector matrices -----------------------------------------------------------
+# -- sector matrices and charge conservation ---------------------------------------
 
 
-_SLICE_ENTRIES = 1 << 16  # (groups or terms) x columns per vectorised pass: 1 MB of complex values
+_BLOCK_PAIRS = 1 << 16  # index pairs looked up per pass of subspace_matrix
 
 
-def subspace_matrix(op: PauliSum, indices: Iterable[int], tol: float = 1e-9) -> np.ndarray:
-    """Matrix of the sum restricted to the span of the given basis indices.
+def basis_indices(indices, n_qubits: int) -> np.ndarray:
+    """The basis indices as an array, checked strictly increasing, non-negative and
+    within an ``n_qubits`` register (ValueError otherwise)."""
+    arr = np.asarray(indices)
+    if arr.ndim != 1 or np.any(np.diff(arr) <= 0):
+        raise ValueError("basis indices must be strictly increasing")
+    if arr.min(initial=0) < 0:
+        raise ValueError(f"basis index {int(arr.min())} is negative")
+    if int(arr.max(initial=0)).bit_length() > n_qubits:
+        raise ValueError(f"basis index {int(arr.max())} does not fit in {n_qubits} qubits")
+    return arr
 
-    Every value of a flip group on a spanned index, in the span or out of it, is one
-    ``reduceat`` sum over the group's terms in table order, whatever the slicing.  An
-    out-of-span value above tol raises, unless it is within the round-off floor
-    _ROUNDOFF times the 1-norm of its group's coefficients; ``tol=np.inf`` returns the
-    restricted entries.
+
+def subspace_matrix(op: PauliSum, indices: Iterable[int]) -> np.ndarray:
+    """Matrix of the sum restricted to the span of strictly increasing basis indices.
+
+    Element (r, c) belongs to the one flip group ``indices[r] ^ indices[c]``, and is 0
+    without that group: one ``reduceat`` sum of the group's terms on ``indices[c]``, in
+    table order.  Only pairs inside the span are evaluated, so elements that leave it
+    are neither formed nor checked: ``check_charges`` bounds those of a Hamiltonian once.
     """
-    arr = np.fromiter(indices, dtype=np.int64)
+    arr = basis_indices(np.fromiter(indices, dtype=np.int64), op.n_qubits)
     dim = arr.size
-    order = np.argsort(arr, kind="stable")
-    sorted_arr = arr[order]
+    mat = np.zeros((dim, dim), dtype=complex)
+    if not len(op):
+        return mat
     flips, starts, zs, coeffs = op.flip_groups
     # c * i**nY: numpy's complex product is CPython's formula, and with factors
     # 0 and +-1 every part is exact, so zeros keep the signs CPython gives them
     coeffs = coeffs * _PHASE_ARRAY[np.bitwise_count(np.repeat(flips, np.diff(starts)) & zs) & 3]
-    # per group, the largest leak it may show: tol, or round-off of its 1-norm if larger
-    floors = np.maximum(tol, _ROUNDOFF * np.add.reduceat(np.abs(coeffs), starts[:-1]))
     signs = np.stack((coeffs, -coeffs), axis=1).ravel()  # term j at 2j, negated at 2j + 1
-    per_slice = max(1, _SLICE_ENTRIES // max(dim, 1))
-    mat = np.zeros((dim, dim), dtype=complex)
-    worst = 0.0
-    bounds = starts.tolist()
-    for first in range(0, flips.size, per_slice):  # look up where per_slice groups map the span
-        targets = flips[first : first + per_slice, None] ^ arr
-        pos = np.minimum(np.searchsorted(sorted_arr, targets), dim - 1)
-        hit = sorted_arr[pos] == targets
-        vals = np.empty(hit.shape, complex)  # (groups, columns)
-        hi, stop = first, first + len(targets)
-        while hi < stop:  # runs of whole groups of about per_slice terms; a larger group alone
-            lo, hi = hi, max(hi + 1, bisect_right(bounds, bounds[hi] + per_slice, hi, stop + 1) - 1)
-            odd = np.bitwise_count(arr[:, None] & zs[bounds[lo] : bounds[hi]]) & 1  # (columns, terms)
-            signed = signs.take(odd + np.arange(2 * bounds[lo], 2 * bounds[hi], 2))
-            vals[lo - first : hi - first] = np.add.reduceat(signed, starts[lo:hi] - bounds[lo], 1).T
-        # an element (row, column) belongs to the one group with flip arr[row] ^ arr[column]
-        mat[order[pos[hit]], np.nonzero(hit)[1]] = vals[hit]
-        leaks = np.where(hit, 0.0, np.abs(vals))
-        worst = max(worst, float(leaks[leaks > floors[first:stop, None]].max(initial=0.0)))
-    if worst > 0.0:
-        raise ValueError(f"operator leaves the subspace (matrix element {worst:.3e})")
+    by_flip = np.argsort(flips)
+    sorted_flips = flips[by_flip]
+    rows = max(1, _BLOCK_PAIRS // max(dim, 1))
+    for top in range(0, dim, rows):
+        targets = arr[top : top + rows, None] ^ arr  # the flip of each (row, column) pair
+        pos = np.minimum(np.searchsorted(sorted_flips, targets), flips.size - 1)
+        r, c = np.nonzero(sorted_flips[pos] == targets)
+        group = by_flip[pos[r, c]]
+        sizes = starts[group + 1] - starts[group]
+        firsts = np.cumsum(sizes) - sizes  # where each element's run of terms starts
+        terms = np.arange(sizes.sum()) + np.repeat(starts[group] - firsts, sizes)
+        odd = np.bitwise_count(np.repeat(arr[c], sizes) & zs[terms]) & 1
+        mat[top + r, c] = np.add.reduceat(signs.take(2 * terms + odd), firsts)
     return mat
+
+
+def _charge_norms(op: PauliSum, layout: QubitLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Per flip group of op, the 1-norms of its part of [op, K] and [op, Q], and their floors.
+
+    Both arrays have shape (2, groups), K first, groups in ``flip_groups`` order.  A charge
+    C sums w_q n_q with n_q = (I - Z_q)/2, and [P, n_q] = -P Z_q for a string P that flips
+    q (0 otherwise), with X Z = -iY and Y Z = iX.  So [op, C] has one entry +-i c w_q (+ for
+    an X on q, - for a Y) on the string (x, z ^ q) per term and flipped qubit q, and one
+    ``_key_runs`` sort sums the entries per string for both charges.  The floor is the
+    larger of CHARGE_TOL and _ROUNDOFF times the group's sum of |c w_q|: its 1-norm times
+    its flipped qubits' |w|.
+    """
+    flips, starts, zs, coeffs = op.flip_groups
+    weights = np.array(_qubit_weights(layout), dtype=float)[::-1].T  # (charge, bit)
+    group = np.repeat(np.arange(flips.size), np.diff(starts))  # of each term
+    # one entry per term and flipped bit: peel each term's lowest flipped bit in turn
+    term, rest = np.arange(zs.size), flips[group]
+    terms, lows = [term[:0]], [rest[:0]]
+    while rest.size:
+        keep = rest != 0
+        term, rest = term[keep], rest[keep]
+        terms.append(term)
+        lows.append(rest & -rest)
+        rest = rest ^ lows[-1]
+    term, low = np.concatenate(terms), np.concatenate(lows)
+    pos, new = _key_runs(group[term], zs[term] ^ low)  # the entries string by string
+    term, low = term[pos], low[pos]
+    runs = np.flatnonzero(new)
+    key_group = group[term[runs]]
+    sign = np.where(zs[term] & low, -1.0, 1.0)  # an entry is i c w_q times this
+    bits = np.bitwise_count(low - 1)
+    re = coeffs.real[term] * sign
+    im = coeffs.imag[term] * sign if coeffs.imag.any() else None  # a Hamiltonian's are all 0
+    norms = np.empty((2, flips.size))
+    for charge, w in enumerate(weights):
+        sums = np.abs(np.add.reduceat(re * w[bits], runs))
+        if im is not None:
+            sums = _modulus(sums, np.add.reduceat(im * w[bits], runs))
+        norms[charge] = np.bincount(key_group, sums, flips.size)
+    one_norms = np.add.reduceat(np.abs(coeffs), starts[:-1]) if zs.size else np.zeros(0)
+    flipped = np.abs(weights) @ ((flips[None, :] >> np.arange(layout.total_qubits)[:, None]) & 1)
+    return norms, np.maximum(CHARGE_TOL, _ROUNDOFF * one_norms * flipped)
+
+
+def check_charges(op: PauliSum, layout: QubitLayout) -> None:
+    """Refuse a sum that moves the harmonic resolution K or the baryon number Q.
+
+    For C = K or Q, <i^x|op|i> (C(i) - C(i^x)) = <i^x|[op, C]|i>, and the integer charges
+    differ by at least 1 where they differ.  So the 1-norm of flip group x of [op, C]
+    bounds every C-moving element of op, in every sector.  ValueError if one is above its
+    floor (``_charge_norms``).
+    """
+    norms, floors = _charge_norms(op, layout)
+    ratios = norms / floors
+    if ratios.size and ratios.max() > 1.0:
+        charge, group = np.unravel_index(np.argmax(ratios), ratios.shape)
+        raise ValueError(
+            f"operator moves charge {'KQ'[charge]}: flip group {int(op.flip_groups[0][group]):#x} has "
+            f"charge-moving elements up to {norms[charge, group]:.3e}, {ratios[charge, group]:.3g} "
+            f"times its tolerance {floors[charge, group]:.3e}"
+        )
 
 
 # -- single-qubit building blocks (Pauli-matrix combinations) -------------------

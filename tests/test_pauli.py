@@ -1,5 +1,4 @@
 import itertools
-import re
 from unittest import mock
 
 import numpy as np
@@ -7,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfyukawa.evolve import sample_counts
 from lfyukawa.fock import FockState, ModeConfig, QubitLayout
+from lfyukawa.hamiltonian import ModelParams, build_h
 from lfyukawa.pauli import (
     PauliString,
     PauliSum,
     adjoint,
     boson_ladder,
     canonicalize,
+    check_charges,
     dumps,
     fermion_ladder,
     loads,
@@ -36,7 +38,9 @@ from oracles import (
     adjoint_reference,
     apply,
     boson_ladder_reference,
+    build_charge_reference,
     canonicalize_reference,
+    charge_reference,
     coefficient_reference,
     commutator_reference,
     dumps_reference,
@@ -202,58 +206,55 @@ def test_to_matrix_cap():
         to_matrix(PauliSum.identity(15))
 
 
-def test_subspace_matrix_detects_leakage():
-    op = PauliSum.from_label("XI")
-    with pytest.raises(ValueError):
-        subspace_matrix(op, [0, 1])  # X on qubit 0 maps span{00,01} outside itself
-
-
-@pytest.mark.parametrize("slice_entries", [1, 1 << 16])
-def test_subspace_matrix_checks_groups_that_map_nothing_into_the_span(monkeypatch, slice_entries):
-    monkeypatch.setattr(pauli, "_SLICE_ENTRIES", slice_entries)
-    # on span{00, 01}, IX and ZZ stay inside; the XI/XZ group maps both states out and
-    # is the only group that leaks: 1e-3 + 1e-3 on 00, 1e-3 - 1e-3 on 01
-    inner = canonicalize([PauliString(1.0, "IX"), PauliString(0.5, "ZZ")])
-    leak = canonicalize([PauliString(1e-3, "XI"), PauliString(1e-3, "XZ")])
-    with pytest.raises(ValueError, match=r"matrix element 2\.000e-03"):
-        subspace_matrix(inner + leak, [0, 1])
-    assert np.array_equal(subspace_matrix(inner + leak, [0, 1], tol=1e-2), subspace_matrix(inner, [0, 1]))
-    # X + iY on qubit 0 is 2|0><1|: its two terms cancel on the whole span
-    quiet = canonicalize([PauliString(1.0, "XI"), PauliString(1j, "YI")])
-    assert np.array_equal(subspace_matrix(inner + quiet, [0, 1], tol=0.0), subspace_matrix(inner, [0, 1]))
+def test_charge_check_detects_leakage():
+    layout = QubitLayout(ModeConfig(1, 1, 1, (1,)))  # fermion, antifermion, boson: (K, Q) (1, 1), (1, -1), (1, 0)
+    # X on the fermion qubit moves K and Q by 1 on every state; a sector matrix only restricts it
+    op = PauliSum.from_label("XII")
+    assert np.array_equal(subspace_matrix(op, [0, 1]), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"moves charge K: flip group 0x4 .* up to 1\.000e\+00, 1e\+09 times"):
+        check_charges(op, layout)
+    # XX + YY swaps a fermion and an antifermion of mode 1: K stays, Q moves by 2
+    with pytest.raises(ValueError, match="moves charge Q: flip group 0x6"):
+        check_charges(canonicalize([PauliString(1.0, "XXI"), PauliString(1.0, "YYI")]), layout)
+    # XX - YY creates or annihilates the pair: K moves by 2, Q stays
+    with pytest.raises(ValueError, match="moves charge K: flip group 0x6"):
+        check_charges(canonicalize([PauliString(1.0, "XXI"), PauliString(-1.0, "YYI")]), layout)
+    # diagonal strings and the Hamiltonian conserve both
+    check_charges(canonicalize([PauliString(1.0, "ZII"), PauliString(2.0, "IZZ")]), layout)
+    check_charges(build_h(layout.config, ModelParams(coupling=3.0), layout), layout)
 
 
 def test_leak_and_hermiticity_checks_rise_to_the_round_off_floor():
-    # XI + XZ maps |00> out of span{00} with the sum of its two coefficients: at 1e8 a
-    # residue of one ulp (1.5e-8) passes the 1e-9 tolerance but is within 64 eps of the
-    # group's 1-norm 2e8; the same group when it really leaves the span still raises
-    def leak(a, b):
-        return canonicalize([PauliString(a, "XI"), PauliString(b, "XZ"), PauliString(1.0, "ZI")])
+    # boson mode 1's high qubit and boson mode 2's qubit both carry (K, Q) = (2, 0), so
+    # a XX + b YY on them conserves both charges when a = b.  At 1e8 a residue of one
+    # ulp (1.5e-8, so 6e-8 in [H, K]) passes the 1e-9 tolerance but is within 64 eps of
+    # the group's sum of |c w|, 2e8 * 4; a hop that really moves K still raises
+    layout = QubitLayout(ModeConfig(1, 1, 2, (3, 1)))
 
-    residue = leak(1e8 + np.spacing(1e8), -1e8)
-    assert np.array_equal(subspace_matrix(residue, [0]), [[1.0]])
-    for a, b in ((1e8, 1e8), (1e8, -1e8 + 1e-4)):  # leaks 2e8 and 1e-4, past 2.8e-6
-        with pytest.raises(ValueError, match="operator leaves the subspace"):
-            subspace_matrix(leak(a, b), [0])
+    def hop(a, b):
+        return canonicalize([PauliString(a, "IIXIX"), PauliString(b, "IIYIY"), PauliString(1.0, "ZIIII")])
+
+    norms, floors = pauli._charge_norms(hop(1e8 + np.spacing(1e8), 1e8), layout)
+    assert norms[0].max() == 4 * np.spacing(1e8) and np.all(norms <= floors)
+    check_charges(hop(1e8 + np.spacing(1e8), 1e8), layout)
+    for a, b in ((1e8, -1e8), (1e8, 1e8 - 1e-4)):  # K-moving elements 2e8 and 1e-4, past 1.1e-5
+        with pytest.raises(ValueError, match="moves charge K"):
+            check_charges(hop(a, b), layout)
     # an imaginary part passes within 64 ulps of the largest coefficient part
     assert canonicalize([PauliString(1e8 + 1e-9j, "XX")]).is_hermitian()
     assert not canonicalize([PauliString(1e8 + 1e-5j, "XX")]).is_hermitian()
     assert not canonicalize([PauliString(1.0 + 1e-9j, "XX")]).is_hermitian()
 
 
-def test_subspace_matrix_slices_change_nothing(monkeypatch):
-    layout = QubitLayout(ModeConfig.uniform(3, 3))
-    op = boson_ladder(2, True, layout) + fermion_ladder("fermion", 1, False, layout) * 1e-6
-    op = op + product(op, adjoint(op))
-    indices = [0, 1, 5, 17, 40, 64, 301, 1024, 2049]
-    whole = subspace_matrix(op, indices, tol=np.inf)
-    with pytest.raises(ValueError) as err:
-        subspace_matrix(op, indices)
-    for slice_entries in (5, 20, 36, 60):  # runs of 1, 2, 4 and 6 terms, lookups of as many groups
-        monkeypatch.setattr(pauli, "_SLICE_ENTRIES", slice_entries)
-        assert np.array_equal(subspace_matrix(op, indices, tol=np.inf), whole)
-        with pytest.raises(ValueError, match=re.escape(str(err.value))):
-            subspace_matrix(op, indices)
+def test_subspace_matrix_refuses_indices_it_cannot_represent():
+    op = PauliSum.from_label("ZI")
+    assert np.array_equal(subspace_matrix(op, [0, 3]), np.diag([1.0, -1.0]))
+    for bad, match in (([-1], "negative"), ([4], "does not fit in 2 qubits"),
+                       ([1, 1], "strictly increasing"), ([2, 1], "strictly increasing")):
+        with pytest.raises(ValueError, match=match):
+            subspace_matrix(op, bad)
+        with pytest.raises(ValueError, match=match):  # one rule for sector matrices and readout
+            sample_counts(np.ones(len(bad)), 1, 0, bad, 2)
 
 
 # -- properties on random sums ------------------------------------------------------
@@ -284,24 +285,71 @@ def test_product_and_adjoint_algebra_on_random_sums(pair):
     st.integers(1, 6).flatmap(
         lambda n: st.tuples(
             _sums(n, 1),
-            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n, unique=True),
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n, unique=True).map(sorted),
         )
     ),
-    st.sampled_from([0.5, 1.5, 3.0]),
-    st.integers(1, 4),
 )
-def test_subspace_matrix_matches_apply_columns(case, tol, per_slice):
+def test_subspace_matrix_matches_apply_columns(case):
     (op,), indices = case
     columns = np.stack([apply(op, np.eye(1 << op.n_qubits)[i]) for i in indices], axis=1)
-    outside = np.delete(columns, indices, axis=0)
-    worst = np.max(np.abs(outside), initial=0.0)
-    with mock.patch.object(pauli, "_SLICE_ENTRIES", per_slice * len(indices)):
-        assert np.allclose(subspace_matrix(op, indices, tol=np.inf), columns[indices], atol=1e-12)
-        if worst > tol:
-            with pytest.raises(ValueError):
-                subspace_matrix(op, indices, tol=tol)
-        else:
-            assert np.allclose(subspace_matrix(op, indices, tol=tol), columns[indices], atol=1e-12)
+    mat = subspace_matrix(op, indices)
+    assert np.allclose(mat, columns[indices], atol=1e-12)
+    with mock.patch.object(pauli, "_BLOCK_PAIRS", 1):  # one row per pass: the same bits
+        assert np.array_equal(subspace_matrix(op, indices).view(np.uint64), mat.view(np.uint64))
+
+
+_CONFIGS = st.builds(
+    lambda nf, na, modals: ModeConfig(nf, na, len(modals), modals),
+    st.integers(1, 2), st.integers(1, 2), st.lists(st.sampled_from([1, 3, 7]), min_size=1, max_size=2),
+)  # at most 10 qubits
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _CONFIGS)
+def test_charge_norms_are_the_commutator_norms_and_bound_every_charge_moving_element(data, config):
+    layout = QubitLayout(config)
+    n = layout.total_qubits
+    (op,) = data.draw(_sums(n, 1), label="sum")
+    planted = data.draw(st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: set(s) & {"X", "Y"}))
+    op = op + canonicalize([PauliString(data.draw(_coeffs.filter(bool), label="c"), planted)])
+    norms, floors = pauli._charge_norms(op, layout)
+    flips = op.flip_groups[0]
+    for charge, name in enumerate("KQ"):
+        commutator = commutator_reference(op, build_charge_reference(name, config, layout))
+        want = dict.fromkeys(flips.tolist(), 0.0)
+        for (x, _), c in store_of(commutator).items():
+            want[x] += abs(c)
+        assert np.allclose(norms[charge], [want[x] for x in flips.tolist()], rtol=0, atol=1e-12)
+    # every K- or Q-moving element <r|op|c> is at most its group r ^ c's norm
+    mat = to_matrix(op)
+    ks, qs = charge_reference(layout)
+    idx = np.arange(1 << n)
+    worst = 0.0
+    for charge, values in enumerate((ks, qs)):
+        bound = np.zeros(1 << n)
+        bound[flips] = norms[charge]
+        moves = values[:, None] != values[None, :]
+        assert np.all(np.abs(mat[moves]) <= bound[idx[:, None] ^ idx][moves] + 1e-12)
+        worst = max(worst, np.abs(mat[moves]).max(initial=0.0))
+    # Gaussian-integer elements: a nonzero one is at least 1, far above the tolerance
+    if worst > 0.5:
+        with pytest.raises(ValueError, match="moves charge"):
+            check_charges(op, layout)
+    else:
+        check_charges(op, layout)
+
+
+def test_empty_jobs_form_nothing():
+    assert products([], []) == []
+    rng = np.random.default_rng(5)
+    a, b = random_sum(rng, 3, 6), random_sum(rng, 3, 6)
+    full = ([a, b], [b, a], [0.5, -2.0])
+    alone = sum_of_products(3, [full])
+    for slices in ([([], [], []), full], [full, ([], [], [])]):
+        total = sum_of_products(3, slices)
+        assert np.array_equal(total.x, alone.x) and np.array_equal(total.z, alone.z)
+        assert np.array_equal(total.coeffs.view(np.uint64), alone.coeffs.view(np.uint64))
+    assert len(sum_of_products(3, [([], [], [])])) == 0
 
 
 # -- Jordan-Wigner ladders ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -11,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfyukawa import cli, evolve, fock, scenarios
+from lfyukawa import cli, evolve, fock, hamiltonian, scenarios
 from lfyukawa.cli import main
 from lfyukawa.evolve import NORM_TOL, exact_evolve, sample_counts
 from lfyukawa.fock import ModeConfig, QubitLayout
 from lfyukawa.hamiltonian import ModelParams, build_h
-from lfyukawa.pauli import COMPARE_TOL, DEFAULT_TOL
+from lfyukawa.pauli import COMPARE_TOL, DEFAULT_TOL, PauliSum, subspace_matrix
 from lfyukawa.scenarios import (
     _EVOLUTION_KEYS,
     _KNOWN_KEYS,
@@ -472,6 +473,22 @@ def test_coupling_sweep_reproduces_golden_rows(tmp_path):
     assert manifest["hamiltonian_hashes"] == [hashes[0], hashes[4]]
 
 
+def test_exact_run_bytes_match_their_pins(tmp_path):
+    # no golden covers an exact run, so the benchmark's pp-exact document and its 42-state
+    # sector matrix are pinned by hash (eigh's rounding is that of numpy 2.4 with OpenBLAS)
+    doc = {"scenario": "rabi", "n_modes": 5, "coupling": 13.315, "initial_state": "f4f5",
+           "evolution": {"mode": "exact", "t_max": 0.4, "dt": 0.005}, "output_dir": str(tmp_path)}
+    _, _, _, files = run_scenario(parse_config(json.dumps(doc)))
+    csv_hash = hashlib.sha256(Path(files["csv"]).read_bytes()).hexdigest()
+    assert csv_hash == "1ce9430ee0b3e664bc7576fe3b51b155f7aceff2613bf497d4679dd4344035bd"
+    config = ModeConfig.uniform(5, 3)
+    h = build_h(config, ModelParams(coupling=13.315), QubitLayout(config))
+    mat = subspace_matrix(h, fock.sector_indices(config, 9, 2))
+    assert hashlib.sha256(mat.tobytes()).hexdigest() == (
+        "713717aa21b0f0ace14ff932b98e042fec75adb3ad462df3d77faf1d7348fd94"
+    )
+
+
 def test_integer_and_float_lambdas_write_identical_csv(tmp_path):
     # the sampling seed reads the validated (float) coupling, not the literal
     texts = []
@@ -572,6 +589,30 @@ _TWO_STEPS = {"t_max": 0.02, "dt": 0.01}
 ], ids=["inertia-cutoff-1e9", "exact-coupling-1e5", "exact-coupling-1e8", "trotter-coupling-1e4"])
 def test_large_cutoffs_and_couplings_run(tmp_path, doc):
     assert _run_cli(tmp_path, {**doc, "output_dir": str(tmp_path / "out")}) == 0
+
+
+def test_build_h_and_cli_refuse_a_sector_leaving_part(tmp_path, capsys, monkeypatch):
+    # 1e-6 X on fermion mode 1's qubit moves K and Q by 1: 1e3 times the 1e-9 tolerance
+    build_part = hamiltonian._build_part
+
+    def leaky(part, config, params, lad):
+        op = build_part(part, config, params, lad)
+        if part != "HV":
+            return op
+        n = lad.layout.total_qubits
+        qubit, _ = lad.layout.block("fermion", 1)
+        return op + PauliSum.from_label("I" * qubit + "X" + "I" * (n - 1 - qubit), 1e-6)
+
+    monkeypatch.setattr(hamiltonian, "_build_part", leaky)
+    config = ModeConfig.uniform(2, 3)
+    with pytest.raises(ValueError, match=r"moves charge K: .* up to 1\.000e-06, 1e\+03 times its tolerance 1\.000e-09"):
+        build_h(config, ModelParams(), QubitLayout(config))
+    build_h(config, ModelParams(), QubitLayout(config), parts=("HM", "HS"))
+    for mode in ("exact", "trotter"):
+        doc = {"scenario": "rabi", "evolution": {"mode": mode, **_TWO_STEPS}, "output_dir": str(tmp_path / mode)}
+        assert _run_cli(tmp_path, doc) == 1
+        assert "error: operator moves charge K" in capsys.readouterr().err
+        assert not (tmp_path / mode).exists()
 
 
 def test_register_guards_exit_2_before_allocation(tmp_path, capsys, monkeypatch):
