@@ -3,7 +3,8 @@
 Each reads amplitudes on sorted basis indices.  Leakage reports the probability
 mass on basis states whose K (resp. Q) differs from the initial sector; a state
 violating both charges counts in both numbers, mirroring how the two error
-curves are plotted separately.
+curves are plotted separately.  Only amplitudes on a register can leak: those on
+a start's own sector indices carry none, so exact records take 0 without a call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "EvolutionRecord",
     "survival",
     "transition_prob",
-    "off_shell",
     "leakage",
     "records_to_csv",
 ]
@@ -46,21 +46,11 @@ def transition_prob(amp: np.ndarray, positions) -> float:
     return total
 
 
-def off_shell(indices, K0: int, Q0: int, layout: QubitLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the basis indices off the K=K0 shell and off the Q=Q0 shell."""
+def leakage(amp, indices, K0: int, Q0: int, layout: QubitLayout) -> tuple[float, float]:
+    """(probability off the K=K0 shell, off the Q=Q0 shell) of amp on the basis indices."""
     k, q = charges(layout, indices)
-    return k != K0, q != Q0
-
-
-def leakage(amp, indices, K0: int, Q0: int, layout: QubitLayout, off=None) -> tuple[float, float]:
-    """(probability off the K=K0 shell, off the Q=Q0 shell) of amp on the basis indices.
-
-    ``off``, the masks ``off_shell`` gives for the same arguments, spares recomputing
-    the charges of indices that many records share.
-    """
-    off_k, off_q = off_shell(indices, K0, Q0, layout) if off is None else off
     probs = np.abs(amp) ** 2
-    return float(probs[off_k].sum()), float(probs[off_q].sum())
+    return float(probs[k != K0].sum()), float(probs[q != Q0].sum())
 
 
 @dataclass

@@ -70,8 +70,8 @@ def exact_evolve(
     if np.shape(psi0) != (len(indices),):
         raise ValueError(f"psi0 has shape {np.shape(psi0)}, not ({len(indices)},) of the sector")
     mat = subspace_matrix(h, indices)
-    herm_defect = np.max(np.abs(mat - mat.conj().T))
-    if herm_defect > 1e-9 * max(1.0, np.max(np.abs(mat))):
+    herm_defect = np.max(np.abs(mat - mat.conj().T), initial=0.0)
+    if herm_defect > 1e-9 * max(1.0, np.max(np.abs(mat), initial=0.0)):
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     modes = v.conj().T @ psi0

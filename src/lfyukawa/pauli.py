@@ -219,7 +219,8 @@ class PauliSum:
         ids, first = _first_ids(x, z)
         diff = np.zeros(first.size, complex)
         diff[ids[: len(self)]] = self.coeffs
-        diff[ids[len(self) :]] -= other.coeffs  # each sum's strings are distinct
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff[ids[len(self) :]] -= other.coeffs  # each sum's strings are distinct
         return bool(np.all(_modulus(diff.real, diff.imag) <= tol))
 
     def is_hermitian(self, tol: float = COMPARE_TOL) -> bool:
@@ -371,8 +372,9 @@ def _sums(x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray, job=None
     """
     ids, first = _first_ids(x, z, job)
     out = np.full((2, first.size), -0.0)
-    np.add.at(out[0], ids, re)
-    np.add.at(out[1], ids, im)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(out[0], ids, re)
+        np.add.at(out[1], ids, im)
     return first, out[0], out[1]
 
 

@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .diagnostics import EvolutionRecord, leakage, off_shell, records_to_csv, survival, transition_prob
+from .diagnostics import EvolutionRecord, leakage, records_to_csv, survival, transition_prob
 from .evolve import NORM_TOL, SECTOR_DIM_CAP, exact_evolve, make_plan, sample_counts, trotter_evolve
 from .fock import (
     FockState,
@@ -505,8 +505,9 @@ def _resolve_state(label: str, config: ModeConfig) -> FockState:
 
 
 class _Start:
-    """One initial state: its sorted sector indices, its unit vector on them, target positions
-    and the indices' off-shell masks, which every exact record's leakage reads."""
+    """One initial state: its sorted sector indices, its unit vector on them and its target
+    positions.  Every index has the state's charges (K, Q), so an exact run, which stays
+    on these indices, cannot leak."""
 
     def __init__(self, label: str, config: ModeConfig, layout: QubitLayout, content=None):
         self.label = label
@@ -515,7 +516,6 @@ class _Start:
         self.index = layout.encode(state)
         self.indices = sector_indices(config, self.K, self.Q)
         self.amp0 = (self.indices == self.index).astype(complex)
-        self.off = off_shell(self.indices, self.K, self.Q, layout)
         if content is None:
             self.targets = np.flatnonzero(self.indices != self.index)
         else:  # the states with these (fermion, antifermion, boson) particle counts
@@ -552,9 +552,9 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
     """Evolve every start under h; ``emit(k, j, amp, readout, meta)`` sees start k at times[j].
 
     amp is on the start's sector basis.  readout, the amplitudes and sorted basis indices
-    that leakage and shots read with the indices' off-shell masks, is (amp, sector indices,
-    the start's masks) in exact runs, which diagonalize each sector once for all times, and
-    the register's nonzero entries with their indices and no masks in Trotter runs.
+    that shots (and in Trotter runs leakage) read, is (amp, sector indices) in exact runs,
+    which diagonalize each sector once for all times, and the register's nonzero entries
+    with their indices in Trotter runs.
     Trotter runs share one plan of n_t steps over t_max between the starts and observe its
     last len(times) steps; with ``trotter_steps`` each time gets its own plan of n_t
     steps, observed at its end.
@@ -562,7 +562,7 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
     if cfg.mode == "exact":
         for k, s in enumerate(starts):
             for j, amp in enumerate(exact_evolve(h, s.amp0, times, s.indices)):
-                emit(k, j, amp, (amp, s.indices, s.off), {})
+                emit(k, j, amp, (amp, s.indices), {})
         return
     # built before the plans: allocated after plan compilation they add a vector to peak RSS
     psi0s = [layout.basis_vector(s.index) for s in starts]
@@ -578,7 +578,7 @@ def _evolve(cfg: ScenarioConfig, h, starts, layout, times, n_t, emit) -> None:
             def observer(step, psi, k=k, s=s):
                 if step > first:
                     nz = np.flatnonzero(psi != 0)
-                    emit(k, observed[step - first - 1], psi[s.indices], (psi[nz], nz, None), dict(meta))
+                    emit(k, observed[step - first - 1], psi[s.indices], (psi[nz], nz), dict(meta))
 
             trotter_evolve(plan, psi0s[k], observer=observer)
 
@@ -618,14 +618,16 @@ def _run_grid(cfg: ScenarioConfig):
 
                 def emit(k, j, amp, readout, meta):
                     start = starts[k]
-                    read_amp, basis, off = readout
+                    read_amp, basis = readout
                     cell = dict(zip(grid, (n_max, lam, n_t, start.label)))
                     key = [cell[axis] for axis in axes]
                     meta.update(zip(sweep_cols, key))
+                    leak = (0.0, 0.0)  # an exact run stays on the start's sector
+                    if cfg.mode == "trotter":
+                        leak = leakage(read_amp, basis, start.K, start.Q, layout)
                     rec = EvolutionRecord(
                         float(times[j]), survival(amp, start.amp0),
-                        transition_prob(amp, start.targets),
-                        *leakage(read_amp, basis, start.K, start.Q, layout, off), metadata=meta,
+                        transition_prob(amp, start.targets), *leak, metadata=meta,
                     )
                     if with_exact:
                         meta["transition_exact"] = rec.transition if exact is None else exact[k][j]

@@ -74,6 +74,10 @@ def test_exact_evolve_time_zero(two_level):
     out = exact_evolve(h, psi0[indices], 0.0, indices)
     assert out.shape == (len(indices),)
     assert np.allclose(out, psi0[indices], atol=1e-12)
+    # an empty sector has a (0, 0) matrix and evolves to no amplitudes
+    none = np.zeros(0, np.int64)
+    empty = exact_evolve(PauliSum.from_label("ZI"), np.zeros(0), np.array([0.0, 0.1]), none)
+    assert empty.shape == (2, 0)
 
 
 @lru_cache(maxsize=None)

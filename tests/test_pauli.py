@@ -727,6 +727,11 @@ def test_parts_past_the_float_range_give_inf_and_nan_silently():
     for a, b in ((real, imag), (imag, real)):
         for tol in (0.0, COMPARE_TOL, 1e308):
             assert a.equals(b, tol) is equals_reference(a, b, tol) is False
+    # sums and differences whose parts leave the float range
+    a, b = PauliSum(1, {(0, 0): 8.98847e307j}), PauliSum(1, {(0, 0): -8.98847e307j})
+    _same_store(a + a, add_reference(a, a))
+    _same_store(a - b, add_reference(a, scale_reference(b, -1.0)))
+    assert a.equals(b, 0.0) is equals_reference(a, b, 0.0) is False
 
 
 @settings(max_examples=200, deadline=None)

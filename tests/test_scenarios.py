@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -710,13 +712,10 @@ def test_boson_ladder_and_count_table_guards_exit_2(tmp_path, capsys, monkeypatc
 
 def test_exact_runs_build_no_register_vector(tmp_path, monkeypatch):
     monkeypatch.setattr(QubitLayout, "basis_vector", _refuse)
-    # leakage reads the sector amplitudes on the start's sector indices, never a register
-    real_leakage, read = scenarios.leakage, []
+    # an exact run stays on its start's sector, so its records take 0 leakage without a call
 
-    def leakage(amp, indices, *args):
-        assert np.shape(amp) == np.shape(indices)
-        read.append(len(indices))
-        return real_leakage(amp, indices, *args)
+    def leakage(*args):
+        raise AssertionError("an exact run computed leakage")
 
     monkeypatch.setattr(scenarios, "leakage", leakage)
     docs = [
@@ -737,14 +736,15 @@ def test_exact_runs_build_no_register_vector(tmp_path, monkeypatch):
     for k, doc in enumerate(docs):
         doc["output_dir"] = str(tmp_path / str(k))
         results.append(run_scenario(parse_config(json.dumps(doc))))
-        records, _, manifest, _ = results[-1]
-        assert read == [manifest["sector_dim"]] * len(records)
-        read.clear()
+        records, csv_text, _, _ = results[-1]
+        assert all(r.leak_k == r.leak_q == 0.0 for r in records)
+        rows = list(csv.DictReader(io.StringIO(csv_text)))
+        assert len(rows) == len(records)
+        assert all(row["leak_K"] == row["leak_Q"] == "0" for row in rows)
     assert "survival_sampled" in results[0][1].splitlines()[0]
     assert "probabilities" in results[1][3]
-    records, _, manifest, _ = results[2]
+    manifest = results[2][2]
     assert manifest["qubits"] == 32 and manifest["sector_dim"] == 50
-    assert all(r.leak_k == r.leak_q == 0.0 for r in records)
 
 
 def test_wide_boson_trotter_plan_splits_into_blocks(monkeypatch):
